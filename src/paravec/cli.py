@@ -18,7 +18,7 @@ import os
 import sys
 
 from .core import DEFAULT_TOL, Tolerance, classify
-from .errors import ArityError, ParavectorError, ParseError
+from .errors import ArityError, ParavectorError, ParseError, ValidationError
 from .fuzz import MUTANTS, run_fuzz
 from .geometry import Angle, angle, compose_angles
 from .matrices import format_matrix, to_matrix4, to_pauli
@@ -173,9 +173,10 @@ def _resolve_tol(args):
                 raise _UsageError(f"PV_TOL is not a number: {env!r}") from None
     if value is None:
         return DEFAULT_TOL
-    if value < 0:
-        raise _UsageError("tolerance must be nonnegative")
-    return Tolerance(value, value)
+    try:
+        return Tolerance(value, value)
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _run(args, tol):
@@ -278,10 +279,7 @@ def main(argv=None):
     try:
         tol = _resolve_tol(args)
         return _run(args, tol)
-    except _UsageError as exc:
-        print(f"pv: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ArityError) as exc:
+    except (_UsageError, ParseError, ArityError) as exc:
         print(f"pv: {exc}", file=sys.stderr)
         return 2
     except ParavectorError as exc:

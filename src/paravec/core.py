@@ -20,12 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    ImproperParavector,
-    InvariantViolation,
-    SingularParavector,
-    ValidationError,
-)
+from .errors import ImproperParavector, SingularParavector, ValidationError
 
 _NUMBER_TYPES = (int, float, complex)
 
@@ -42,6 +37,11 @@ def vcross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def vnorm(v):
+    """Euclidean norm of a complex 3-vector (moduli of its components)."""
+    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
 
 
 def format_complex(z):
@@ -137,12 +137,12 @@ class Paravector:
     def rev(self):
         """Reversion: flip the sign of the vector part."""
         v = self.v
-        return Paravector(self.s, (-v[0], -v[1], -v[2]))
+        return _make(self.s, (-v[0], -v[1], -v[2]))
 
     def conj(self):
         """Conjugation: complex-conjugate every component."""
         v = self.v
-        return Paravector(
+        return _make(
             self.s.conjugate(),
             (v[0].conjugate(), v[1].conjugate(), v[2].conjugate()),
         )
@@ -160,17 +160,17 @@ class Paravector:
     def det(self):
         """Scalar of the product with the own reversion (a complex number).
 
-        The vector part of that product must vanish; a leak beyond
-        tolerance signals a broken multiplication and raises
-        :class:`InvariantViolation`.
+        The closed form ``s*s - x*x - y*y - z*z``, in this order bit-identical
+        to ``mul(self, self.rev()).s`` since ``a + (-b) == a - b`` in IEEE
+        arithmetic.  Raises :class:`ValidationError` when it overflows and
+        never :class:`InvariantViolation`.
         """
-        p = mul(self, self.rev())
-        thr = DEFAULT_TOL.quadratic(_pv_scale(self))
-        if abs(p.v[0]) > thr or abs(p.v[1]) > thr or abs(p.v[2]) > thr:
-            raise InvariantViolation(
-                "product with the reversion has a nonvanishing vector part"
-            )
-        return p.s
+        s = self.s
+        x, y, z = self.v
+        d = s * s - x * x - y * y - z * z
+        if not cmath.isfinite(d):
+            raise ValidationError("determinant overflows: components too large")
+        return d
 
     def inverse(self, tol=DEFAULT_TOL):
         """Multiplicative inverse: reversion divided by the determinant.
@@ -227,17 +227,16 @@ class Paravector:
         if other is NotImplemented:
             return NotImplemented
         v, w = self.v, other.v
-        return Paravector(self.s + other.s, (v[0] + w[0], v[1] + w[1], v[2] + w[2]))
+        return _make(self.s + other.s, (v[0] + w[0], v[1] + w[1], v[2] + w[2]))
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         v, w = self.v, other.v
-        return Paravector(self.s - other.s, (v[0] - w[0], v[1] - w[1], v[2] - w[2]))
+        return _make(self.s - other.s, (v[0] - w[0], v[1] - w[1], v[2] - w[2]))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -247,7 +246,7 @@ class Paravector:
 
     def __neg__(self):
         v = self.v
-        return Paravector(-self.s, (-v[0], -v[1], -v[2]))
+        return _make(-self.s, (-v[0], -v[1], -v[2]))
 
     def __pos__(self):
         return self
@@ -270,11 +269,23 @@ class Paravector:
         return NotImplemented
 
 
+def _make(s, v):
+    """Trusted result constructor for a complex ``s`` and a 3-tuple ``v``.
+
+    Full validation runs only when the component sum is not finite."""
+    if not cmath.isfinite(s + v[0] + v[1] + v[2]):
+        return Paravector(s, v)
+    p = object.__new__(Paravector)
+    object.__setattr__(p, "s", s)
+    object.__setattr__(p, "v", v)
+    return p
+
+
 def _coerce(x):
     if isinstance(x, Paravector):
         return x
     if isinstance(x, _NUMBER_TYPES) and not isinstance(x, bool):
-        return Paravector(complex(x), (0j, 0j, 0j))
+        return _make(complex(x), (0j, 0j, 0j))
     return NotImplemented
 
 
@@ -287,7 +298,7 @@ def mul(a, b):
     s1, s2 = a.s, b.s
     x1, y1, z1 = a.v
     x2, y2, z2 = b.v
-    return Paravector(
+    return _make(
         s1 * s2 + x1 * x2 + y1 * y2 + z1 * z2,
         (
             s2 * x1 + s1 * x2 + 1j * (y1 * z2 - z1 * y2),

@@ -49,6 +49,7 @@ from .core import (
     component_scale,
     vcross,
     vdot,
+    vnorm,
 )
 from .geometry import (
     Angle,
@@ -121,22 +122,14 @@ def trial_seed(seed, index):
 
 # ---------------------------------------------------------------------------
 # Trial generation.  Everything here builds paravectors from raw components
-# only (no calls into the algebra under test), so generation stays sound even
-# when a mutant is installed.
+# and calls only helpers that no mutant replaces (``scalar_product(p, p)`` is
+# the determinant from raw components), so a mutant cannot skew generation.
 # ---------------------------------------------------------------------------
-
-
-def _det_closed(p):
-    return p.s * p.s - vdot(p.v, p.v)
 
 
 def _scaled(p, z):
     v = p.v
     return Paravector(p.s * z, (v[0] * z, v[1] * z, v[2] * z))
-
-
-def _sprod_closed(a, b):
-    return a.s * b.s - vdot(a.v, b.v)
 
 
 def _draw_pv(rng):
@@ -166,14 +159,14 @@ def _draw_real(rng, min_abs=0.0):
 def _nonsingular(rng, min_det=0.1):
     for _ in range(32):
         p = _draw_pv(rng)
-        if abs(_det_closed(p)) > min_det:
+        if abs(scalar_product(p, p)) > min_det:
             return p
     return Paravector(2 + 0j, (1 + 0j, 0j, 0j))
 
 
 def _proper(rng, min_det=0.1):
     p = _nonsingular(rng, min_det)
-    d = _det_closed(p)
+    d = scalar_product(p, p)
     return _scaled(p, cmath.exp(-0.5j * cmath.phase(d)))
 
 
@@ -184,12 +177,12 @@ def _singular(rng):
 
 def _perp_pair(rng):
     a = _nonsingular(rng)
-    da = _det_closed(a)
+    da = scalar_product(a, a)
     for _ in range(32):
         raw = _draw_pv(rng)
-        k = _sprod_closed(a, raw) / da
+        k = scalar_product(a, raw) / da
         b = raw - _scaled(a, k)
-        if abs(_det_closed(b)) > 0.05 and component_scale(b) > 0.05:
+        if abs(scalar_product(b, b)) > 0.05 and component_scale(b) > 0.05:
             return a, b
     return Paravector(1 + 0j, (0j, 0j, 0j)), Paravector(0j, (1 + 0j, 0j, 0j))
 
@@ -197,7 +190,7 @@ def _perp_pair(rng):
 def _unit_vector(rng):
     while True:
         v = [rng.uniform(-1, 1) for _ in range(3)]
-        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+        n = vnorm(v)
         if n >= 0.3:
             return (v[0] / n, v[1] / n, v[2] / n)
 
@@ -205,7 +198,7 @@ def _unit_vector(rng):
 def _real_vector(rng, min_norm=0.2):
     while True:
         v = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) >= min_norm:
+        if vnorm(v) >= min_norm:
             return v
 
 
@@ -265,8 +258,7 @@ def _hyperbolic_pair(rng):
 
 def _sphere_point(rng):
     x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-    r = math.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
-    return Paravector(r, (complex(x[0]), complex(x[1]), complex(x[2])))
+    return Paravector(vnorm(x), (complex(x[0]), complex(x[1]), complex(x[2])))
 
 
 def _spatial_pair(rng):
@@ -278,10 +270,10 @@ def _spatial_pair(rng):
         q = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
         a = Paravector(s1, q)
         b = Paravector(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
-        qn = math.sqrt(abs(q[0]) ** 2 + abs(q[1]) ** 2 + abs(q[2]) ** 2)
+        qn = vnorm(q)
         if (
-            abs(_det_closed(a)) > 0.1
-            and abs(_det_closed(b)) > 0.1
+            abs(scalar_product(a, a)) > 0.1
+            and abs(scalar_product(b, b)) > 0.1
             and abs(s2 - mu * s1) * qn > 0.1
         ):
             return a, b
@@ -406,10 +398,6 @@ def _close_v(u, v, tol):
 
 def _zero_c(x, tol, scale):
     return abs(x) <= tol.abs + tol.rel * scale
-
-
-def _vnorm(v):
-    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1024,7 @@ def _(p, tol):
 @_prop("rotation", "vector-isometry", ("w1", "rot1"))
 def _(p, tol):
     got = rotate_vector(p.w1, p.rot1)
-    return _close_c(_vnorm(got), _vnorm(p.w1), tol)
+    return _close_c(vnorm(got), vnorm(p.w1), tol)
 
 
 @_prop("rotation", "vector-fixes-axis", ("rot1", "s_real"))
@@ -1096,7 +1084,7 @@ def _(p, tol):
 @_prop("mirror", "mirror-real-formula", ("a", "w1"))
 def _(p, tol):
     w = p.w1
-    nw = math.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
+    nw = vnorm(w)
     n = (w[0] / nw, w[1] / nw, w[2] / nw)
     v = p.a.v
     vn = v[0] * n[0] + v[1] * n[1] + v[2] * n[2]
@@ -1141,7 +1129,7 @@ def _(p, tol):
 @_prop("mirror", "axial-is-straight-rotation", ("a", "w1"))
 def _(p, tol):
     w = p.w1
-    nw = math.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
+    nw = vnorm(w)
     axis = RotationAxis(
         Paravector(0j, (1j * w[0] / nw, 1j * w[1] / nw, 1j * w[2] / nw))
     )

@@ -25,6 +25,7 @@ from .core import (
     component_norm,
     component_scale,
     vcross,
+    vnorm,
 )
 from .errors import (
     ImproperParavector,
@@ -72,16 +73,12 @@ def _require_nonsingular(p, tol):
         raise SingularParavector("operation requires non-singular paravectors")
 
 
-def _vec_norm(v):
-    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
-
-
 def is_parallel(a, b, tol=DEFAULT_TOL):
     """True when the vector product of two non-singular paravectors vanishes."""
     _require_nonsingular(a, tol)
     _require_nonsingular(b, tol)
     w = vector_product(a, b, Orientation.RIGHT)
-    return _vec_norm(w) <= tol.abs + tol.rel * component_norm(a) * component_norm(b)
+    return vnorm(w) <= tol.abs + tol.rel * component_norm(a) * component_norm(b)
 
 
 def is_perpendicular(a, b, tol=DEFAULT_TOL):
@@ -96,7 +93,7 @@ def is_perpendicular(a, b, tol=DEFAULT_TOL):
 def is_spatially_parallel(a, b, tol=DEFAULT_TOL):
     """True when the cross product of the vector parts vanishes."""
     c = vcross(a.v, b.v)
-    return _vec_norm(c) <= tol.abs + tol.rel * _vec_norm(a.v) * _vec_norm(b.v)
+    return vnorm(c) <= tol.abs + tol.rel * vnorm(a.v) * vnorm(b.v)
 
 
 def is_singularly_parallel(a, b, tol=DEFAULT_TOL):

@@ -26,13 +26,18 @@ def load_number_array(text):
         data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from None
+    except (ValueError, RecursionError) as exc:  # int digit limit, deep nesting
+        raise ParseError(f"unreadable number array: {exc}") from None
     if not isinstance(data, list):
         raise ParseError("expected a JSON array of numbers")
     out = []
     for i, item in enumerate(data):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ParseError(f"element {i} is not a number", position=i)
-        value = float(item)
+        try:
+            value = float(item)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise ParseError(f"element {i} is not finite", position=i)
         out.append(value)

@@ -1,10 +1,13 @@
 """Ring operations, involutions, determinant/vigor machinery, classification."""
 
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from _strategies import paravectors, proper_paravectors
@@ -13,7 +16,6 @@ from paravec import (
     ONE,
     ZERO,
     ImproperParavector,
-    InvariantViolation,
     Paravector,
     SingularParavector,
     Tolerance,
@@ -22,6 +24,7 @@ from paravec import (
     classify,
     mul,
 )
+from paravec.wire import from_wire
 
 E1 = Paravector(0, (1, 0, 0))
 E2 = Paravector(0, (0, 1, 0))
@@ -308,12 +311,61 @@ class TestRingAxioms:
         assert E1 * E2 != E2 * E1
 
 
-def test_det_invariant_violation_is_detectable():
-    # a broken reversion must be caught by the internal determinant check
-    good = Paravector.rev
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+# Up to sqrt(max_float / 2) ~ 9.48e153 no single complex product inside
+# g * rev(g) can overflow, so the product raises exactly when its scalar part
+# does; beyond that bound the vector part can overflow on its own (see
+# test_overflow_still_raises) while the closed form stays finite.
+_wide = st.floats(min_value=-9e153, max_value=9e153, allow_nan=False)
+
+
+@given(st.lists(_wide, min_size=8, max_size=8))
+@example([9e153] * 8)
+@example([9e153, 0, 0, 0, 0, 0, 9e153, 9e153])
+@example([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, 0.0])
+def test_det_is_bit_identical_to_product_with_reversion(numbers):
+    g = from_wire(numbers)
     try:
-        Paravector.rev = lambda self: Paravector(-self.s, tuple(-z for z in self.v))
-        with pytest.raises(InvariantViolation):
-            pv(1 + 1j, (1, 2, 3)).det()
-    finally:
-        Paravector.rev = good
+        want = mul(g, g.rev()).s
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            g.det()
+        return
+    assert _bits(g.det()) == _bits(want)
+
+
+@given(paravectors(), paravectors())
+def test_arithmetic_results_equal_validated_construction(a, b):
+    for r in (a * b, a + b, a - b, -a, a.rev(), a.conj(), a * 2.0, 2.0 * a):
+        assert type(r) is Paravector
+        assert r == Paravector(r.s, r.v)
+        assert type(r.s) is complex and type(r.v) is tuple
+        assert all(type(z) is complex for z in r.v)
+
+
+def test_overflow_still_raises():
+    big = pv(1e300, (1e300, 0, 0))
+    with pytest.raises(ValidationError):
+        mul(big, big)
+    with pytest.raises(ValidationError):
+        big * big
+    with pytest.raises(ValidationError):
+        pv(1.5e308, (0, 0, 0)) + pv(1.5e308, (0, 0, 0))
+    with pytest.raises(ValidationError):
+        pv(-1.5e308, (0, 0, 0)) - pv(1.5e308, (0, 0, 0))
+    with pytest.raises(ValidationError):
+        big * 1e10
+    with pytest.raises(ValidationError):
+        1e10 * big
+    with pytest.raises(ValidationError):
+        pv(1e160, (0, 0, 0)).inverse()
+    # finite components whose sum overflows are still valid results
+    assert pv(1.5e308, (1.5e308, 0, 0)) + ZERO == pv(1.5e308, (1.5e308, 0, 0))
+    # the closed form stays finite where the product's vector part overflows
+    g = pv(0, (0, complex(1e154, 0.8985e154), complex(1e154, -0.8985e154)))
+    with pytest.raises(ValidationError):
+        mul(g, g.rev())
+    assert cmath.isfinite(g.det())

@@ -85,6 +85,19 @@ class TestCliBasics:
         assert main(["det", "nonsense"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1" + "0" * 400 + ",0,0,0,0,0,0,0]",  # too large for a float
+            "[" + "1" * 5000 + ",0,0,0,0,0,0,0]",  # beyond the int digit limit
+            "[" * 100_000,  # nested beyond the recursion limit
+        ],
+        ids=["huge-int", "long-int", "deep-nesting"],
+    )
+    def test_number_parse_crashes_are_parse_errors(self, capsys, text):
+        assert main(["det", text]) == 2
+        assert capsys.readouterr().err.startswith("pv: ")
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate", "[1,0,0,0,0,0,0,0]"]) == 2
         capsys.readouterr()
@@ -234,6 +247,14 @@ class TestCliTolerance:
     def test_negative_tol_is_a_usage_error(self, capsys):
         assert main(["--tol", "-1", "det", "[1,0,0,0,0,0,0,0]"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_is_a_usage_error(self, capsys, monkeypatch, value):
+        assert main(["--tol", value, "det", "[1,0,0,0,0,0,0,0]"]) == 2
+        assert "finite" in capsys.readouterr().err
+        monkeypatch.setenv("PV_TOL", value)
+        assert main(["det", "[1,0,0,0,0,0,0,0]"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestCliFuzz:
