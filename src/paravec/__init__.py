@@ -5,7 +5,9 @@ involutions, determinant and vigor, oriented integrated products,
 geometric predicates and angles, rotations and symmetries, the 4x4 and
 Pauli matrix representations, a JSON wire format, and a deterministic
 property-fuzz engine (also reachable through the ``pv`` command line
-tool).
+tool).  The fuzz engine's names (``SUITES``, ``FuzzReport``,
+``SplitMix64``, ``run_fuzz``) are imported on first access, so that
+``import paravec`` does not build its property registry.
 """
 
 from .core import (
@@ -38,7 +40,6 @@ from .errors import (
     SingularParavector,
     ValidationError,
 )
-from .fuzz import SUITES, FuzzReport, SplitMix64, run_fuzz
 from .geometry import (
     Angle,
     angle,
@@ -81,6 +82,18 @@ from .transforms import (
 from .wire import from_wire, parse_paravector, serialize_paravector, to_wire
 
 __version__ = "0.1.0"
+
+_FUZZ_NAMES = frozenset({"SUITES", "FuzzReport", "SplitMix64", "run_fuzz"})
+
+
+def __getattr__(name):
+    if name in _FUZZ_NAMES:
+        from . import fuzz
+
+        value = getattr(fuzz, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Angle",

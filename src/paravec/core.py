@@ -252,20 +252,20 @@ class Paravector:
         return self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return mul(self, other)
+        if isinstance(other, Paravector):
+            return mul(self, other)
+        if isinstance(other, _NUMBER_TYPES) and not isinstance(other, bool):
+            return _scale(self, complex(other))
+        return NotImplemented
 
     def __rmul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return mul(other, self)
+        if isinstance(other, _NUMBER_TYPES) and not isinstance(other, bool):
+            return _scale(self, complex(other))
+        return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER_TYPES) and not isinstance(other, bool):
-            return mul(self, Paravector(1.0 / complex(other), (0j, 0j, 0j)))
+            return _scale(self, 1.0 / complex(other))
         return NotImplemented
 
 
@@ -281,6 +281,15 @@ def _make(s, v):
     return p
 
 
+def _scale(p, k):
+    """``p`` times the complex number ``k``, component by component.
+
+    Equal (``==``) to ``mul(p, {k|0})``; only the sign of an exactly-zero
+    component can differ, because the product adds the zero cross terms."""
+    v = p.v
+    return _make(p.s * k, (v[0] * k, v[1] * k, v[2] * k))
+
+
 def _coerce(x):
     if isinstance(x, Paravector):
         return x
@@ -292,8 +301,8 @@ def _coerce(x):
 def mul(a, b):
     """The paravector product.
 
-    Scalars embed as paravectors with zero vector part, so multiplication
-    by a plain number goes through this same rule.
+    The ``*`` operator uses it for two paravectors; a plain number
+    operand scales the components directly instead (see ``_scale``).
     """
     s1, s2 = a.s, b.s
     x1, y1, z1 = a.v

@@ -44,6 +44,8 @@ from .core import (
     ONE,
     ZERO,
     Paravector,
+    _make,
+    _scale,
     approx_eq,
     classify,
     component_scale,
@@ -106,10 +108,17 @@ class SplitMix64:
 
     def u01(self):
         """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return ((x ^ (x >> 31)) >> 11) * 2.0**-53
 
     def uniform(self, lo, hi):
-        return lo + (hi - lo) * self.u01()
+        """``lo + (hi - lo) * u01()``, with the generator step inlined."""
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return lo + (hi - lo) * (((x ^ (x >> 31)) >> 11) * 2.0**-53)
 
     def below(self, n):
         return self.next_u64() % n
@@ -124,19 +133,16 @@ def trial_seed(seed, index):
 # Trial generation.  Everything here builds paravectors from raw components
 # and calls only helpers that no mutant replaces (``scalar_product(p, p)`` is
 # the determinant from raw components), so a mutant cannot skew generation.
+# Draws whose components are complex and finite by construction go through
+# the trusted ``_make``.
 # ---------------------------------------------------------------------------
-
-
-def _scaled(p, z):
-    v = p.v
-    return Paravector(p.s * z, (v[0] * z, v[1] * z, v[2] * z))
 
 
 def _draw_pv(rng):
     a, d = rng.uniform(-2, 2), rng.uniform(-2, 2)
     b = [rng.uniform(-2, 2) for _ in range(3)]
     c = [rng.uniform(-2, 2) for _ in range(3)]
-    return Paravector(
+    return _make(
         complex(a, d),
         (complex(b[0], c[0]), complex(b[1], c[1]), complex(b[2], c[2])),
     )
@@ -167,12 +173,12 @@ def _nonsingular(rng, min_det=0.1):
 def _proper(rng, min_det=0.1):
     p = _nonsingular(rng, min_det)
     d = scalar_product(p, p)
-    return _scaled(p, cmath.exp(-0.5j * cmath.phase(d)))
+    return _scale(p, cmath.exp(-0.5j * cmath.phase(d)))
 
 
 def _singular(rng):
     v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-    return Paravector(cmath.sqrt(vdot(v, v)), v)
+    return _make(cmath.sqrt(vdot(v, v)), v)
 
 
 def _perp_pair(rng):
@@ -181,7 +187,7 @@ def _perp_pair(rng):
     for _ in range(32):
         raw = _draw_pv(rng)
         k = scalar_product(a, raw) / da
-        b = raw - _scaled(a, k)
+        b = raw - _scale(a, k)
         if abs(scalar_product(b, b)) > 0.05 and component_scale(b) > 0.05:
             return a, b
     return Paravector(1 + 0j, (0j, 0j, 0j)), Paravector(0j, (1 + 0j, 0j, 0j))
@@ -214,18 +220,18 @@ def _special(rng):
         a = rng.uniform(-2, 2)
         c = [rng.uniform(-2, 2) for _ in range(3)]
         if a * a + c[0] ** 2 + c[1] ** 2 + c[2] ** 2 >= 0.05:
-            return Paravector(complex(a), (1j * c[0], 1j * c[1], 1j * c[2]))
+            return _make(complex(a), (1j * c[0], 1j * c[1], 1j * c[2]))
 
 
 def _unitar(rng):
     t = rng.uniform(0.0, math.pi)
     n = _unit_vector(rng)
     s = math.sin(t)
-    return Paravector(math.cos(t), (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s))
+    return _make(complex(math.cos(t)), (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s))
 
 
 def _real_paravector(rng):
-    return Paravector(
+    return _make(
         complex(rng.uniform(-2, 2)),
         (
             complex(rng.uniform(-2, 2)),
@@ -248,8 +254,8 @@ def _hyperbolic_pair(rng):
         t = rng.uniform(0.5, 1.5)
         sign = 1.0 if rng.u01() < 0.5 else -1.0
         pair.append(
-            Paravector(
-                sign * u * math.cosh(t),
+            _make(
+                complex(sign * u * math.cosh(t)),
                 (complex(u * n[0]), complex(u * n[1]), complex(u * n[2])),
             )
         )
@@ -258,7 +264,7 @@ def _hyperbolic_pair(rng):
 
 def _sphere_point(rng):
     x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-    return Paravector(vnorm(x), (complex(x[0]), complex(x[1]), complex(x[2])))
+    return _make(complex(vnorm(x)), (complex(x[0]), complex(x[1]), complex(x[2])))
 
 
 def _spatial_pair(rng):
@@ -268,8 +274,8 @@ def _spatial_pair(rng):
         s2 = _draw_complex(rng)
         mu = _draw_complex(rng, 0.3)
         q = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-        a = Paravector(s1, q)
-        b = Paravector(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
+        a = _make(s1, q)
+        b = _make(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
         qn = vnorm(q)
         if (
             abs(scalar_product(a, a)) > 0.1
@@ -298,7 +304,7 @@ def _corner_triple(rng):
         return u, u_rev, g
     if pick == 5:
         lam = _draw_real(rng, 0.2)
-        return g, _scaled(g, lam), g
+        return g, _scale(g, lam), g
     if pick == 6:
         g_rev = Paravector(g.s, (-g.v[0], -g.v[1], -g.v[2]))
         g_conj = Paravector(
@@ -321,7 +327,7 @@ def _corner_triple(rng):
             _draw_pv(rng),
         )
     if pick == 8:
-        return _scaled(g, 1e-12), g, _draw_pv(rng)
+        return _scale(g, 1e-12), g, _draw_pv(rng)
     s = _sphere_point(rng)
     return s, Paravector(s.s, (-s.v[0], -s.v[1], -s.v[2])), g
 
@@ -344,7 +350,7 @@ class TrialPack:
         self.proper2 = _proper(rng)
         self.perp1, self.perp2 = _perp_pair(rng)
         self.par1 = _nonsingular(rng)
-        self.par2 = _scaled(self.par1, self.lam)
+        self.par2 = _scale(self.par1, self.lam)
         self.sing1 = _singular(rng)
         self.sing2 = _singular(rng)
         self.sphere = _sphere_point(rng)

@@ -55,13 +55,10 @@ class Angle:
 
     @property
     def sinis(self):
-        """Vector component under its left-orientation name."""
+        """Vector component: ``sinis`` (left orientation) or ``dextis`` (right)."""
         return self.value.v
 
-    @property
-    def dextis(self):
-        """Vector component under its right-orientation name."""
-        return self.value.v
+    dextis = sinis
 
     @classmethod
     def identity(cls, orientation=Orientation.RIGHT):

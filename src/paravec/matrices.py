@@ -44,6 +44,17 @@ class _SquareMatrix:
         self.rows = _check_rows(rows, self._n)
 
     @classmethod
+    def _trusted(cls, rows):
+        """Trusted result constructor for an n-tuple of n-tuples of complex.
+
+        Full validation runs only when the entry sum is not finite."""
+        if not cmath.isfinite(sum(map(sum, rows))):
+            return cls(rows)
+        m = object.__new__(cls)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls):
         n = cls._n
         return cls(
@@ -61,35 +72,24 @@ class _SquareMatrix:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(
+        return self._trusted(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
+                [
+                    tuple([a + b for a, b in zip(ra, rb)])
+                    for ra, rb in zip(self.rows, other.rows)
+                ]
             )
         )
 
     def __matmul__(self, other):
+        """Naive row-by-column product, each entry ``0j + a0*b0 + a1*b1 + ...``."""
         if type(other) is not type(self):
             return NotImplemented
-        n = self._n
-        a, b = self.rows, other.rows
-        out = []
-        for i in range(n):
-            ai = a[i]
-            row = []
-            for j in range(n):
-                acc = 0j
-                for k in range(n):
-                    acc += ai[k] * b[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return type(self)(tuple(out))
+        return self._trusted(self._product(self.rows, tuple(zip(*other.rows))))
 
     def conj_transpose(self):
-        n = self._n
-        r = self.rows
-        return type(self)(
-            tuple(tuple(r[j][i].conjugate() for j in range(n)) for i in range(n))
+        return self._trusted(
+            tuple([tuple([e.conjugate() for e in col]) for col in zip(*self.rows)])
         )
 
     def det(self):
@@ -98,53 +98,77 @@ class _SquareMatrix:
         a = [list(row) for row in self.rows]
         result = 1 + 0j
         for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if abs(a[piv][col]) == 0.0:
+            piv, best = col, abs(a[col][col])
+            for r in range(col + 1, n):
+                m = abs(a[r][col])
+                if m > best:
+                    piv, best = r, m
+            if best == 0.0:
                 return 0j
             if piv != col:
                 a[piv], a[col] = a[col], a[piv]
                 result = -result
-            p = a[col][col]
+            pivot_row = a[col]
+            p = pivot_row[col]
             result *= p
             for r in range(col + 1, n):
-                f = a[r][col] / p
+                row = a[r]
+                f = row[col] / p
                 for c in range(col + 1, n):
-                    a[r][c] -= f * a[col][c]
+                    row[c] -= f * pivot_row[c]
         return result
 
     def inverse(self):
-        """Inverse via Gauss-Jordan elimination with partial pivoting."""
+        """Inverse via Gauss-Jordan elimination with partial pivoting.
+
+        Step ``col`` normalizes and updates only columns ``col+1`` onwards:
+        the eliminated columns to the left are never read again.
+        """
         n = self._n
         a = [list(row) + [1 + 0j if i == j else 0j for j in range(n)]
              for i, row in enumerate(self.rows)]
         for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-            if abs(a[piv][col]) == 0.0:
+            piv, best = col, abs(a[col][col])
+            for r in range(col + 1, n):
+                m = abs(a[r][col])
+                if m > best:
+                    piv, best = r, m
+            if best == 0.0:
                 raise ValueError("matrix is singular")
             if piv != col:
                 a[piv], a[col] = a[col], a[piv]
-            p = a[col][col]
-            a[col] = [e / p for e in a[col]]
+            pivot_row = a[col]
+            p = pivot_row[col]
+            rest = range(col + 1, 2 * n)
+            for c in rest:
+                pivot_row[c] = pivot_row[c] / p
             for r in range(n):
                 if r == col:
                     continue
-                f = a[r][col]
+                row = a[r]
+                f = row[col]
                 if f != 0:
-                    a[r] = [er - f * ec for er, ec in zip(a[r], a[col])]
-        return type(self)(tuple(tuple(row[n:]) for row in a))
+                    for c in rest:
+                        row[c] = row[c] - f * pivot_row[c]
+        return self._trusted(tuple([tuple(row[n:]) for row in a]))
 
     def approx_eq(self, other, tol=DEFAULT_TOL):
         scale = 0.0
         for m in (self, other):
             for row in m.rows:
                 for e in row:
-                    scale = max(scale, abs(e.real), abs(e.imag))
+                    x = abs(e.real)
+                    if x > scale:
+                        scale = x
+                    x = abs(e.imag)
+                    if x > scale:
+                        scale = x
         thr = tol.linear(scale)
-        return all(
-            abs(a - b) <= thr
-            for ra, rb in zip(self.rows, other.rows)
-            for a, b in zip(ra, rb)
-        )
+        for ra, rb in zip(self.rows, other.rows):
+            for a, b in zip(ra, rb):
+                if not abs(a - b) <= thr:
+                    return False
+        return True
 
     def __str__(self):
         return format_matrix(self.rows)
@@ -158,18 +182,38 @@ class Matrix4(_SquareMatrix):
 
     _n = 4
 
+    @staticmethod
+    def _product(rows, cols):
+        return tuple(
+            [
+                tuple(
+                    [
+                        0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+                        for b0, b1, b2, b3 in cols
+                    ]
+                )
+                for a0, a1, a2, a3 in rows
+            ]
+        )
+
 
 class Matrix2(_SquareMatrix):
     """A 2x2 complex matrix with self-contained arithmetic."""
 
     _n = 2
 
+    @staticmethod
+    def _product(rows, cols):
+        return tuple(
+            [tuple([0j + a0 * b0 + a1 * b1 for b0, b1 in cols]) for a0, a1 in rows]
+        )
+
 
 def to_matrix4(p):
     """4x4 embedding of a paravector."""
     a = p.s
     x, y, z = p.v
-    return Matrix4(
+    return Matrix4._trusted(
         (
             (a, x, y, z),
             (x, a, -1j * z, 1j * y),
@@ -220,7 +264,7 @@ def to_pauli(p):
     """2x2 representation: scalar times sigma_0 plus vector dotted into sigma."""
     a = p.s
     x, y, z = p.v
-    return Matrix2(((a + z, x - 1j * y), (x + 1j * y, a - z)))
+    return Matrix2._trusted(((a + z, x - 1j * y), (x + 1j * y, a - z)))
 
 
 def format_matrix(rows):

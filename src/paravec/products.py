@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from . import core
 from .core import Paravector, vdot
 
 
@@ -28,9 +29,9 @@ class IntegratedProduct:
 def integrated(a, b, orientation=Orientation.RIGHT):
     """Oriented integrated product of two paravectors."""
     if orientation is Orientation.RIGHT:
-        return IntegratedProduct(a * b.rev(), orientation)
+        return IntegratedProduct(core.mul(a, b.rev()), orientation)
     if orientation is Orientation.LEFT:
-        return IntegratedProduct(a.rev() * b, orientation)
+        return IntegratedProduct(core.mul(a.rev(), b), orientation)
     raise TypeError("orientation must be Orientation.RIGHT or Orientation.LEFT")
 
 

@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_TOL,
     ONE,
     Paravector,
+    _make,
     component_scale,
     vcross,
     vdot,
@@ -126,7 +127,8 @@ def spatial_axis(rotation):
     c = math.cos(rotation.phi)
     s = math.sin(rotation.phi)
     n = rotation.n
-    return RotationAxis(Paravector(c, (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)))
+    v = (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)
+    return RotationAxis(_make(complex(c), v))
 
 
 def rotate_vector(w, rotation):
@@ -140,7 +142,7 @@ def rotate_vector(w, rotation):
         wr = (float(w[0]), float(w[1]), float(w[2]))
     except (TypeError, ValueError, IndexError):
         raise ValidationError("expected a real 3-vector") from None
-    g = Paravector(0j, (complex(wr[0]), complex(wr[1]), complex(wr[2])))
+    g = _make(0j, (complex(wr[0]), complex(wr[1]), complex(wr[2])))
     r = rotate(g, spatial_axis(rotation), Orientation.LEFT)
     return (r.v[0].real, r.v[1].real, r.v[2].real)
 
@@ -187,7 +189,7 @@ def mirror(g, w, tol=DEFAULT_TOL):
     sc = component_scale(w)
     if abs(ww) <= tol.quadratic(sc):
         raise IsotropicNormal("mirror normal squares to zero")
-    plane = Paravector(0j, w)
+    plane = _make(0j, w)
     return ((plane * g) * plane) * (-1.0 / ww)
 
 
@@ -222,8 +224,8 @@ def axial_symmetry(g, w, tol=DEFAULT_TOL):
     ww = vdot(w, w)
     if abs(ww) <= tol.quadratic(component_scale(w)):
         raise IsotropicNormal("axial vector squares to zero")
-    left = Paravector(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
-    right = Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
+    left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
+    right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
     return ((left * g) * right) * (1.0 / ww)
 
 

@@ -67,3 +67,65 @@ def rodrigues(w, n, theta):
         + np.cross(n, w) * np.sin(theta)
         + n * n.dot(w) * (1.0 - np.cos(theta))
     )
+
+
+# Naive copies of the matrix algorithms as first written, kept as the
+# bit-level reference for the optimized ones in ``paravec.matrices``.
+
+
+def naive_matmul(a, b):
+    """Triple-loop product of two square row tuples, accumulating from ``0j``."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = 0j
+            for k in range(n):
+                acc += a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def lu_det(rows):
+    """Determinant by LU elimination with partial pivoting."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    result = 1 + 0j
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) == 0.0:
+            return 0j
+        if piv != col:
+            a[piv], a[col] = a[col], a[piv]
+            result = -result
+        p = a[col][col]
+        result *= p
+        for r in range(col + 1, n):
+            f = a[r][col] / p
+            for c in range(col + 1, n):
+                a[r][c] -= f * a[col][c]
+    return result
+
+
+def gauss_jordan_inverse(rows):
+    """Inverse by Gauss-Jordan elimination over full augmented rows."""
+    n = len(rows)
+    a = [list(row) + [1 + 0j if i == j else 0j for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) == 0.0:
+            raise ValueError("matrix is singular")
+        if piv != col:
+            a[piv], a[col] = a[col], a[piv]
+        p = a[col][col]
+        a[col] = [e / p for e in a[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            f = a[r][col]
+            if f != 0:
+                a[r] = [er - f * ec for er, ec in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)

@@ -339,11 +339,35 @@ def test_det_is_bit_identical_to_product_with_reversion(numbers):
 
 @given(paravectors(), paravectors())
 def test_arithmetic_results_equal_validated_construction(a, b):
-    for r in (a * b, a + b, a - b, -a, a.rev(), a.conj(), a * 2.0, 2.0 * a):
+    scaled = (a * 2.0, 2.0 * a, a / 3, a * 1j)
+    for r in (a * b, a + b, a - b, -a, a.rev(), a.conj(), *scaled):
         assert type(r) is Paravector
         assert r == Paravector(r.s, r.v)
         assert type(r.s) is complex and type(r.v) is tuple
         assert all(type(z) is complex for z in r.v)
+
+
+_numbers = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(-1e3, 1e3),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(paravectors(), _numbers)
+def test_scaling_by_a_number_equals_the_product(p, k):
+    kp = Paravector(k, (0, 0, 0))
+    assert p * k == mul(p, kp)
+    assert k * p == mul(kp, p)
+    if k == 0:
+        return
+    try:
+        want = mul(p, Paravector(1.0 / complex(k), (0, 0, 0)))
+    except ValidationError:  # 1/k overflows for a subnormal k
+        with pytest.raises(ValidationError):
+            p / k
+    else:
+        assert p / k == want
 
 
 def test_overflow_still_raises():

@@ -1,5 +1,10 @@
 """Determinism and plumbing of the property-fuzz engine."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from paravec import SUITES, Paravector, SplitMix64, run_fuzz
@@ -93,3 +98,25 @@ class TestRunFuzz:
         assert failing
         ce = failing[0].counterexample
         assert ce is not None and "trial" in ce and "inputs" in ce
+
+
+def test_import_paravec_loads_the_fuzz_engine_on_first_use():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, paravec\n"
+        "assert 'paravec.fuzz' not in sys.modules\n"
+        "report = paravec.run_fuzz(seed=1, trials=1)\n"
+        "assert 'paravec.fuzz' in sys.modules\n"
+        "assert report.failed_properties == 0 and paravec.SUITES\n"
+        "print('ok')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

@@ -146,6 +146,9 @@ class TestAngle:
         assert got.cosinis == pytest.approx(4 / 3)
         assert got.value.det() == pytest.approx(1 + 0j)
 
+    def test_dextis_is_sinis_under_its_right_orientation_name(self):
+        assert Angle.dextis is Angle.sinis
+
     def test_improper_operand_raises(self):
         with pytest.raises(ImproperParavector):
             angle(Paravector(1, (1, 0, 0)), ONE, RIGHT)

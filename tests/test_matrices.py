@@ -1,8 +1,11 @@
 """4x4 and 2x2 matrix representations and their self-contained arithmetic."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import _oracles as oracles
 from _strategies import paravectors, nonsingular_paravectors
@@ -144,6 +147,103 @@ class TestPauli:
         d = g.det()
         det2 = to_pauli(g).det()
         assert abs(det2 - d) <= 1e-8 * max(1.0, abs(d))
+
+
+def _results(a, b):
+    """Each trusted-path result, computed from two paravectors."""
+    m, n = to_matrix4(a), to_matrix4(b)
+    out = [m, to_pauli(a), m + n, m @ n, to_pauli(a) @ to_pauli(b), m.conj_transpose()]
+    for mat in (m, to_pauli(a)):
+        try:
+            out.append(mat.inverse())
+        except ValueError:
+            pass
+    return out
+
+
+class TestTrustedResults:
+    @given(paravectors(), paravectors())
+    def test_results_equal_validated_construction(self, a, b):
+        for r in _results(a, b):
+            assert type(r) in (Matrix2, Matrix4)
+            assert all(type(e) is complex for row in r.rows for e in row)
+            assert type(r.rows) is tuple and all(type(row) is tuple for row in r.rows)
+            assert r == type(r)(r.rows)
+
+    def test_overflow_still_raises(self):
+        big = to_matrix4(Paravector(1e200, (1e200, 0, 0)))
+        with pytest.raises(ValidationError):
+            big @ big
+        huge = Matrix4([[1.5e308] * 4] * 4)
+        with pytest.raises(ValidationError):
+            huge + huge
+        diag = (1e-310, 1.0, 1.0, 1.0)
+        tiny = Matrix4([[diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)])
+        with pytest.raises(ValidationError):
+            tiny.inverse()
+
+
+_signed_zeros = st.sampled_from(
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1j]
+)
+_entries = st.one_of(
+    _signed_zeros,
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def square_rows(draw, n):
+    """Rows of an n x n matrix, often singular, with a zero leading pivot,
+    or made of signed zeros and units only."""
+    entries = draw(st.sampled_from((_entries, _signed_zeros)))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("free", "repeated-row", "zero-pivot", "zero-column")))
+    if shape == "repeated-row":
+        rows[n - 1] = list(rows[0])
+    elif shape == "zero-pivot":
+        rows[0][0] = 0j
+    elif shape == "zero-column":
+        for row in rows:
+            row[n - 1] = 0j
+    return tuple(tuple(row) for row in rows)
+
+
+def _assert_same_inverse(cls, rows):
+    """The inverse matches the naive one bit for bit, errors included.
+
+    A naive inverse with an entry that overflowed is a ``ValidationError``."""
+    try:
+        want = oracles.gauss_jordan_inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            cls(rows).inverse()
+        return
+    if not all(cmath.isfinite(e) for row in want for e in row):
+        with pytest.raises(ValidationError):
+            cls(rows).inverse()
+        return
+    assert repr(cls(rows).inverse().rows) == repr(want)
+
+
+@pytest.mark.parametrize("cls, n", [(Matrix4, 4), (Matrix2, 2)])
+@given(data=st.data())
+def test_optimized_algorithms_are_bit_identical_to_the_naive_ones(cls, n, data):
+    a = data.draw(square_rows(n))
+    b = data.draw(square_rows(n))
+    m = cls(a)
+    assert repr((m @ cls(b)).rows) == repr(oracles.naive_matmul(a, b))
+    assert repr(m.det()) == repr(oracles.lu_det(a))
+    _assert_same_inverse(cls, a)
+
+
+@given(paravectors(), paravectors())
+def test_embeddings_multiply_det_and_invert_bit_identically(a, b):
+    for embed in (to_matrix4, to_pauli):
+        m, n = embed(a), embed(b)
+        assert repr((m @ n).rows) == repr(oracles.naive_matmul(m.rows, n.rows))
+        assert repr(m.det()) == repr(oracles.lu_det(m.rows))
+        _assert_same_inverse(type(m), m.rows)
 
 
 def test_format_matrix_gives_a_grid():
