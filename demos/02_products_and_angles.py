@@ -21,19 +21,19 @@ b = Paravector(2, (0, 1, 0))
 
 print("The right integrated product pairs a with rev(b); the left one")
 print("pairs rev(a) with b.  Their scalar parts always agree:")
-print(f"  (a,b>  = {integrated(a, b, R).value}")
-print(f"  <a,b)  = {integrated(a, b, L).value}")
+print(f"  (a,b>  = {integrated(a, b, R)}")
+print(f"  <a,b)  = {integrated(a, b, L)}")
 print(f"  scalar product <a,b> = {scalar_product(a, b):.6g}")
 
 print("\nThe self product collapses to the determinant:")
-print(f"  (a,a> = {integrated(a, a, R).value}   (det a = {a.det():.6g})")
+print(f"  (a,a> = {integrated(a, a, R)}   (det a = {a.det():.6g})")
 
 print("\nThe vector product is the oriented vector part:")
 print(f"  right: {vector_product(a, b, R)}")
 print(f"  left:  {vector_product(a, b, L)}")
 
 print("\nDeterminants factorize through the integrated product:")
-ip = integrated(a, b, R).value
+ip = integrated(a, b, R)
 print(f"  det (a,b> = {ip.det():.6g} = det a * det b = {a.det() * b.det():.6g}")
 
 print("\nAngles between proper paravectors are determinant-one paravectors.")

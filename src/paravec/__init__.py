@@ -60,7 +60,6 @@ from .matrices import (
     to_pauli,
 )
 from .products import (
-    IntegratedProduct,
     Orientation,
     integrated,
     scalar_product,
@@ -104,7 +103,6 @@ __all__ = [
     "DegenerateComposition",
     "FuzzReport",
     "ImproperParavector",
-    "IntegratedProduct",
     "InvariantViolation",
     "IsotropicNormal",
     "Matrix2",

@@ -17,9 +17,8 @@ import json
 import os
 import sys
 
-from .core import DEFAULT_TOL, Tolerance, classify
+from .core import DEFAULT_TOL, Paravector, Tolerance, classify
 from .errors import ArityError, ParavectorError, ParseError, ValidationError
-from .fuzz import MUTANTS, run_fuzz
 from .geometry import Angle, angle, compose_angles
 from .matrices import format_matrix, to_matrix4, to_pauli
 from .products import Orientation, scalar_product, vector_product
@@ -41,7 +40,7 @@ def _text(value):
 
 
 def _parse_vector(text):
-    numbers = load_number_array(_text(text))
+    numbers = load_number_array(text)
     if len(numbers) == 3:
         return (complex(numbers[0]), complex(numbers[1]), complex(numbers[2]))
     if len(numbers) == 6:
@@ -54,36 +53,98 @@ def _parse_vector(text):
 
 
 def _parse_rotation(text):
-    numbers = load_number_array(_text(text))
+    numbers = load_number_array(text)
     if len(numbers) != 4:
         raise ArityError(f"expected 4 numbers [nx,ny,nz,phi], got {len(numbers)}")
     return SpatialRotation.about(numbers[:3], numbers[3])
 
 
-def _pv_arg(value):
-    return parse_paravector(_text(value))
-
-
-def _emit_paravector(p):
-    print(serialize_paravector(p))
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _emit_complex(z):
-    print(serialize_numbers([z.real, z.imag]))
+    return serialize_numbers([z.real, z.imag])
 
 
 def _emit_vector(v):
-    print(serialize_numbers([v[0].real, v[1].real, v[2].real, v[0].imag, v[1].imag, v[2].imag]))
+    return serialize_numbers([v[0].real, v[1].real, v[2].real, v[0].imag, v[1].imag, v[2].imag])
+
+
+def _emit_classification(c, as_json):
+    payload = dict(
+        det=[c.det.real, c.det.imag],
+        proper=c.is_proper,
+        singular=c.is_singular,
+        orthogonal=c.is_orthogonal,
+        special=c.is_special,
+        unitar=c.is_unitar,
+        tol={"abs": c.tol.abs, "rel": c.tol.rel},
+    )
+    if as_json:
+        return _compact(payload)
+    return "\n".join(f"{key}: {_compact(value)}" for key, value in payload.items())
+
+
+def _emit_rotation(r, as_json):
+    if as_json:
+        return _compact({"n": list(r.n), "phi": r.phi, "axis_defined": r.axis_defined})
+    return serialize_numbers([r.n[0], r.n[1], r.n[2], r.phi])
 
 
 def _emit_matrix(m, as_json):
     if as_json:
-        print(json.dumps(
-            [[[e.real, e.imag] for e in row] for row in m.rows],
-            separators=(",", ":"),
-        ))
-    else:
-        print(format_matrix(m.rows))
+        return _compact([[[e.real, e.imag] for e in row] for row in m.rows])
+    return format_matrix(m.rows)
+
+
+_PARAVECTOR = ("paravector as JSON [a,d,bx,by,bz,cx,cy,cz]", parse_paravector)
+_ROTATION = ("rotation as JSON [nx,ny,nz,phi]", _parse_rotation)
+# operand name: (help, parser of its text)
+_OPERANDS = {
+    **dict.fromkeys(("A", "B", "P", "Q", "G", "AXIS"), _PARAVECTOR),
+    "W": ("vector as JSON [bx,by,bz] or [bx,by,bz,cx,cy,cz]", _parse_vector),
+    "R1": _ROTATION,
+    "R2": _ROTATION,
+}
+_RIGHT, _LEFT = Orientation.RIGHT, Orientation.LEFT
+_PV = serialize_paravector
+
+# name: (help, operands, orientation default or None, takes --json,
+#        function of the parsed operands [, orientation] and tol, emitter)
+_COMMANDS = {
+    "add": ("sum of two paravectors", "A B", None, False, lambda a, b, tol: a + b, _PV),
+    "mul": ("product of two paravectors", "A B", None, False, lambda a, b, tol: a * b, _PV),
+    "rev": ("reversion (negated vector part)", "A", None, False, lambda a, tol: a.rev(), _PV),
+    "conj": ("conjugation (conjugated components)", "A", None, False,
+             lambda a, tol: a.conj(), _PV),
+    "vig": ("product with own conjugate", "A", None, False, lambda a, tol: a.vig(), _PV),
+    "det": ("determinant as [re,im]", "A", None, False, lambda a, tol: a.det(), _emit_complex),
+    "inv": ("multiplicative inverse", "A", None, False, Paravector.inverse, _PV),
+    "module": ("square root of a real nonnegative determinant", "A", None, False,
+               Paravector.module, json.dumps),
+    "normalize": ("rescale to determinant one", "A", None, False, Paravector.normalize, _PV),
+    "classify": ("proper/singular/orthogonal/special/unitar flags", "A", None, True,
+                 classify, _emit_classification),
+    "sprod": ("scalar product as [re,im]", "A B", None, False,
+              lambda a, b, tol: scalar_product(a, b), _emit_complex),
+    "vprod": ("oriented vector product", "A B", _RIGHT, False,
+              lambda a, b, o, tol: vector_product(a, b, o), _emit_vector),
+    "angle": ("oriented angle between proper paravectors", "A B", _RIGHT, False,
+              lambda a, b, o, tol: angle(a, b, o, tol).value, _PV),
+    "compose-angle": ("product of two same-oriented angles", "P Q", _RIGHT, False,
+                      lambda p, q, o, tol: compose_angles(Angle(p, o), Angle(q, o)).value, _PV),
+    "rotate": ("rotate G by the normalized axis paravector", "G AXIS", _LEFT, False,
+               lambda g, axis, o, tol: rotate(g, RotationAxis.from_paravector(axis, tol), o),
+               _PV),
+    "mirror": ("mirror symmetry with normal W", "G W", None, False, mirror, _PV),
+    "axial": ("straight-angle rotation around W", "G W", None, False, axial_symmetry, _PV),
+    "euler": ("compose two spatial rotations", "R1 R2", None, True, euler_compose, _emit_rotation),
+    "matrep": ("4x4 matrix representation", "A", None, True,
+               lambda a, tol: to_matrix4(a), _emit_matrix),
+    "pauli": ("2x2 sigma-basis representation", "A", None, True,
+              lambda a, tol: to_pauli(a), _emit_matrix),
+}
 
 
 def _orientation_flags(sub, default):
@@ -99,6 +160,13 @@ def _orientation_flags(sub, default):
     sub.set_defaults(orientation=default)
 
 
+def _subcommand(sub, name, summary):
+    s = sub.add_parser(name, help=summary)
+    # SUPPRESS keeps a root-level --tol from being clobbered by the default
+    s.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    return s
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pv", description="paravector algebra calculator"
@@ -108,55 +176,20 @@ def build_parser():
         help="absolute and relative tolerance (default 1e-9, or PV_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, nargs_help, **kwargs):
-        s = sub.add_parser(name, **kwargs)
-        # SUPPRESS keeps a root-level --tol from being clobbered by the default
-        s.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        for arg, hlp in nargs_help:
-            s.add_argument(arg, help=hlp)
-        return s
-
-    pw = "paravector as JSON [a,d,bx,by,bz,cx,cy,cz]"
-    vw = "vector as JSON [bx,by,bz] or [bx,by,bz,cx,cy,cz]"
-    rw = "rotation as JSON [nx,ny,nz,phi]"
-
-    cmd("add", [("A", pw), ("B", pw)], help="sum of two paravectors")
-    cmd("mul", [("A", pw), ("B", pw)], help="product of two paravectors")
-    cmd("rev", [("A", pw)], help="reversion (negated vector part)")
-    cmd("conj", [("A", pw)], help="conjugation (conjugated components)")
-    cmd("vig", [("A", pw)], help="product with own conjugate")
-    cmd("det", [("A", pw)], help="determinant as [re,im]")
-    cmd("inv", [("A", pw)], help="multiplicative inverse")
-    cmd("module", [("A", pw)], help="square root of a real nonnegative determinant")
-    c = cmd("normalize", [("A", pw)], help="rescale to determinant one")
-    c = cmd("classify", [("A", pw)], help="proper/singular/orthogonal/special/unitar flags")
-    c.add_argument("--json", action="store_true")
-    c = cmd("sprod", [("A", pw), ("B", pw)], help="scalar product as [re,im]")
-    c = cmd("vprod", [("A", pw), ("B", pw)], help="oriented vector product")
-    _orientation_flags(c, Orientation.RIGHT)
-    c = cmd("angle", [("A", pw), ("B", pw)], help="oriented angle between proper paravectors")
-    _orientation_flags(c, Orientation.RIGHT)
-    c = cmd("compose-angle", [("P", pw), ("Q", pw)], help="product of two same-oriented angles")
-    _orientation_flags(c, Orientation.RIGHT)
-    c = cmd("rotate", [("G", pw), ("AXIS", pw)],
-            help="rotate G by the normalized axis paravector")
-    _orientation_flags(c, Orientation.LEFT)
-    cmd("mirror", [("G", pw), ("W", vw)], help="mirror symmetry with normal W")
-    cmd("axial", [("G", pw), ("W", vw)], help="straight-angle rotation around W")
-    c = cmd("euler", [("R1", rw), ("R2", rw)], help="compose two spatial rotations")
-    c.add_argument("--json", action="store_true")
-    c = cmd("matrep", [("A", pw)], help="4x4 matrix representation")
-    c.add_argument("--json", action="store_true")
-    c = cmd("pauli", [("A", pw)], help="2x2 sigma-basis representation")
-    c.add_argument("--json", action="store_true")
-    c = sub.add_parser("fuzz", help="run the seeded property-fuzz campaign")
-    c.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    c.add_argument("--seed", type=int, default=42)
-    c.add_argument("--trials", type=int, default=10000)
-    c.add_argument("--json", action="store_true")
-    c.add_argument(
-        "--mutant", choices=sorted(MUTANTS), default=None,
+    for name, (summary, operands, orientation, takes_json, _, _) in _COMMANDS.items():
+        s = _subcommand(sub, name, summary)
+        for operand in operands.split():
+            s.add_argument(operand, help=_OPERANDS[operand][0])
+        if orientation is not None:
+            _orientation_flags(s, orientation)
+        if takes_json:
+            s.add_argument("--json", action="store_true")
+    s = _subcommand(sub, "fuzz", "run the seeded property-fuzz campaign")
+    s.add_argument("--seed", type=int, default=42)
+    s.add_argument("--trials", type=int, default=10000)
+    s.add_argument("--json", action="store_true")
+    s.add_argument(
+        "--mutant",
         help="install a documented defect to demonstrate the suite catches it",
     )
     return parser
@@ -179,94 +212,28 @@ def _resolve_tol(args):
         raise _UsageError(str(exc)) from None
 
 
-def _run(args, tol):
-    command = args.command
-    if command == "add":
-        _emit_paravector(_pv_arg(args.A) + _pv_arg(args.B))
-    elif command == "mul":
-        _emit_paravector(_pv_arg(args.A) * _pv_arg(args.B))
-    elif command == "rev":
-        _emit_paravector(_pv_arg(args.A).rev())
-    elif command == "conj":
-        _emit_paravector(_pv_arg(args.A).conj())
-    elif command == "vig":
-        _emit_paravector(_pv_arg(args.A).vig())
-    elif command == "det":
-        _emit_complex(_pv_arg(args.A).det())
-    elif command == "inv":
-        _emit_paravector(_pv_arg(args.A).inverse(tol))
-    elif command == "module":
-        print(json.dumps(_pv_arg(args.A).module(tol)))
-    elif command == "normalize":
-        _emit_paravector(_pv_arg(args.A).normalize(tol))
-    elif command == "classify":
-        c = classify(_pv_arg(args.A), tol)
-        payload = {
-            "det": [c.det.real, c.det.imag],
-            "proper": c.is_proper,
-            "singular": c.is_singular,
-            "orthogonal": c.is_orthogonal,
-            "special": c.is_special,
-            "unitar": c.is_unitar,
-            "tol": {"abs": c.tol.abs, "rel": c.tol.rel},
-        }
-        if args.json:
-            print(json.dumps(payload, separators=(",", ":")))
-        else:
-            for key, value in payload.items():
-                print(f"{key}: {json.dumps(value, separators=(',', ':'))}")
-    elif command == "sprod":
-        _emit_complex(scalar_product(_pv_arg(args.A), _pv_arg(args.B)))
-    elif command == "vprod":
-        _emit_vector(
-            vector_product(
-                _pv_arg(args.A), _pv_arg(args.B), args.orientation
-            )
-        )
-    elif command == "angle":
-        result = angle(
-            _pv_arg(args.A), _pv_arg(args.B), args.orientation, tol
-        )
-        _emit_paravector(result.value)
-    elif command == "compose-angle":
-        first = Angle(_pv_arg(args.P), args.orientation)
-        second = Angle(_pv_arg(args.Q), args.orientation)
-        _emit_paravector(compose_angles(first, second).value)
-    elif command == "rotate":
-        axis = RotationAxis.from_paravector(_pv_arg(args.AXIS), tol)
-        _emit_paravector(rotate(_pv_arg(args.G), axis, args.orientation))
-    elif command == "mirror":
-        _emit_paravector(mirror(_pv_arg(args.G), _parse_vector(args.W), tol))
-    elif command == "axial":
-        _emit_paravector(
-            axial_symmetry(_pv_arg(args.G), _parse_vector(args.W), tol)
-        )
-    elif command == "euler":
-        r = euler_compose(_parse_rotation(args.R1), _parse_rotation(args.R2), tol)
-        if args.json:
-            print(json.dumps(
-                {"n": list(r.n), "phi": r.phi, "axis_defined": r.axis_defined},
-                separators=(",", ":"),
-            ))
-        else:
-            print(serialize_numbers([r.n[0], r.n[1], r.n[2], r.phi]))
-    elif command == "matrep":
-        _emit_matrix(to_matrix4(_pv_arg(args.A)), args.json)
-    elif command == "pauli":
-        _emit_matrix(to_pauli(_pv_arg(args.A)), args.json)
-    elif command == "fuzz":
-        if args.trials < 1:
-            raise _UsageError("--trials must be at least 1")
-        if args.seed < 0:
-            raise _UsageError("--seed must be nonnegative")
+def _fuzz(args, tol):
+    from .fuzz import run_fuzz  # loaded here so that other commands skip the registry
+
+    if args.seed < 0:
+        raise _UsageError("--seed must be nonnegative")
+    try:
         report = run_fuzz(seed=args.seed, trials=args.trials, tol=tol, mutant=args.mutant)
-        if args.json:
-            print(json.dumps(report.to_dict(), separators=(",", ":")))
-        else:
-            print(report.format_text())
-        return 3 if report.failed_properties else 0
-    else:  # pragma: no cover - argparse enforces the choices
-        raise _UsageError(f"unknown command {command!r}")
+    except ValueError as exc:  # an unknown mutant, or fewer than one trial
+        raise _UsageError(str(exc)) from None
+    print(_compact(report.to_dict()) if args.json else report.format_text())
+    return 3 if report.failed_properties else 0
+
+
+def _run(args, tol):
+    if args.command not in _COMMANDS:
+        return _fuzz(args, tol)
+    _, operands, orientation, takes_json, function, emit = _COMMANDS[args.command]
+    values = [_OPERANDS[name][1](_text(getattr(args, name))) for name in operands.split()]
+    if orientation is not None:
+        values.append(args.orientation)
+    result = function(*values, tol)
+    print(emit(result, args.json) if takes_json else emit(result))
     return 0
 
 

@@ -642,8 +642,8 @@ def _(p, tol):
 
 @_prop("product", "scalar-parts-agree", ("a", "b"))
 def _(p, tol):
-    r = integrated(p.a, p.b, RIGHT).value.s
-    l = integrated(p.a, p.b, LEFT).value.s
+    r = integrated(p.a, p.b, RIGHT).s
+    l = integrated(p.a, p.b, LEFT).s
     sp = scalar_product(p.a, p.b)
     return _close_c(r, sp, tol) and _close_c(l, sp, tol)
 
@@ -652,7 +652,7 @@ def _(p, tol):
 def _(p, tol):
     target = p.a.det() * p.b.det()
     for o in (RIGHT, LEFT):
-        if not _close_c(integrated(p.a, p.b, o).value.det(), target, tol):
+        if not _close_c(integrated(p.a, p.b, o).det(), target, tol):
             return False
     sp = scalar_product(p.a, p.b)
     vv = vector_product(p.a, p.b, RIGHT)
@@ -661,31 +661,31 @@ def _(p, tol):
 
 @_prop("product", "right-add-bilinear", ("a", "b", "c"))
 def _(p, tol):
-    lhs = integrated(p.a + p.b, p.c, RIGHT).value
-    rhs = integrated(p.a, p.c, RIGHT).value + integrated(p.b, p.c, RIGHT).value
+    lhs = integrated(p.a + p.b, p.c, RIGHT)
+    rhs = integrated(p.a, p.c, RIGHT) + integrated(p.b, p.c, RIGHT)
     return approx_eq(lhs, rhs, tol)
 
 
 @_prop("product", "left-add-bilinear", ("a", "b", "c"))
 def _(p, tol):
-    lhs = integrated(p.a + p.b, p.c, LEFT).value
-    rhs = integrated(p.a, p.c, LEFT).value + integrated(p.b, p.c, LEFT).value
+    lhs = integrated(p.a + p.b, p.c, LEFT)
+    rhs = integrated(p.a, p.c, LEFT) + integrated(p.b, p.c, LEFT)
     return approx_eq(lhs, rhs, tol)
 
 
 @_prop("product", "scalar-homogeneous-right", ("a", "b", "lam"))
 def _(p, tol):
-    base = integrated(p.a, p.b, RIGHT).value * p.lam
-    left_scaled = integrated(p.a * p.lam, p.b, RIGHT).value
-    right_scaled = integrated(p.a, p.b * p.lam, RIGHT).value
+    base = integrated(p.a, p.b, RIGHT) * p.lam
+    left_scaled = integrated(p.a * p.lam, p.b, RIGHT)
+    right_scaled = integrated(p.a, p.b * p.lam, RIGHT)
     return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
 
 
 @_prop("product", "scalar-homogeneous-left", ("a", "b", "lam"))
 def _(p, tol):
-    base = integrated(p.a, p.b, LEFT).value * p.lam
-    left_scaled = integrated(p.a * p.lam, p.b, LEFT).value
-    right_scaled = integrated(p.a, p.b * p.lam, LEFT).value
+    base = integrated(p.a, p.b, LEFT) * p.lam
+    left_scaled = integrated(p.a * p.lam, p.b, LEFT)
+    right_scaled = integrated(p.a, p.b * p.lam, LEFT)
     return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
 
 
@@ -693,7 +693,7 @@ def _(p, tol):
 def _(p, tol):
     for o in (RIGHT, LEFT):
         if not approx_eq(
-            integrated(p.a, p.b, o).value.rev(), integrated(p.b, p.a, o).value, tol
+            integrated(p.a, p.b, o).rev(), integrated(p.b, p.a, o), tol
         ):
             return False
     return True
@@ -702,8 +702,8 @@ def _(p, tol):
 @_prop("product", "self-product-is-det", ("a",))
 def _(p, tol):
     expected = Paravector(p.a.det(), (0j, 0j, 0j))
-    return approx_eq(integrated(p.a, p.a, RIGHT).value, expected, tol) and approx_eq(
-        integrated(p.a, p.a, LEFT).value, expected, tol
+    return approx_eq(integrated(p.a, p.a, RIGHT), expected, tol) and approx_eq(
+        integrated(p.a, p.a, LEFT), expected, tol
     )
 
 
@@ -1254,11 +1254,11 @@ def _(p, tol):
 @_prop("orthogonal", "right-action-preserves-integrated", ("a", "b", "proper2"))
 def _(p, tol):
     lam = p.axis2.value
-    lhs = integrated(p.a * lam, p.b * lam, RIGHT).value
-    if not approx_eq(lhs, integrated(p.a, p.b, RIGHT).value, tol):
+    lhs = integrated(p.a * lam, p.b * lam, RIGHT)
+    if not approx_eq(lhs, integrated(p.a, p.b, RIGHT), tol):
         return False
-    lhs_left = integrated(lam * p.a, lam * p.b, LEFT).value
-    return approx_eq(lhs_left, integrated(p.a, p.b, LEFT).value, tol)
+    lhs_left = integrated(lam * p.a, lam * p.b, LEFT)
+    return approx_eq(lhs_left, integrated(p.a, p.b, LEFT), tol)
 
 
 @_prop("orthogonal", "vig-parallel-left-action", ("par1", "par2", "proper1"))

@@ -98,7 +98,7 @@ def is_singularly_parallel(a, b, tol=DEFAULT_TOL):
 
     A true verdict forces both operands to be singular.
     """
-    p = integrated(a, b, Orientation.RIGHT).value
+    p = integrated(a, b, Orientation.RIGHT)
     thr = tol.abs + tol.rel * component_norm(a) * component_norm(b)
     return (
         abs(p.s) <= thr
@@ -139,7 +139,7 @@ def angle(a, b, orientation=Orientation.RIGHT, tol=DEFAULT_TOL):
     """
     ma = _proper_module(a, tol)
     mb = _proper_module(b, tol)
-    value = integrated(a, b, orientation).value * (1.0 / (ma * mb))
+    value = integrated(a, b, orientation) * (1.0 / (ma * mb))
     return Angle(value, orientation)
 
 

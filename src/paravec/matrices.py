@@ -36,12 +36,35 @@ def _check_rows(rows, n):
     return rows
 
 
+def _entry_scale(*matrices):
+    """Largest absolute real or imaginary part over all entries."""
+    scale = 0.0
+    for m in matrices:
+        for row in m.rows:
+            for e in row:
+                x = abs(e.real)
+                if x > scale:
+                    scale = x
+                x = abs(e.imag)
+                if x > scale:
+                    scale = x
+    return scale
+
+
 class _SquareMatrix:
+    """Immutable: ``rows`` is set once, through ``object.__setattr__``."""
+
     __slots__ = ("rows",)
     _n = 0
 
     def __init__(self, rows):
-        self.rows = _check_rows(rows, self._n)
+        object.__setattr__(self, "rows", _check_rows(rows, self._n))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def _trusted(cls, rows):
@@ -51,7 +74,7 @@ class _SquareMatrix:
         if not cmath.isfinite(sum(map(sum, rows))):
             return cls(rows)
         m = object.__new__(cls)
-        m.rows = rows
+        object.__setattr__(m, "rows", rows)
         return m
 
     @classmethod
@@ -153,17 +176,7 @@ class _SquareMatrix:
         return self._trusted(tuple([tuple(row[n:]) for row in a]))
 
     def approx_eq(self, other, tol=DEFAULT_TOL):
-        scale = 0.0
-        for m in (self, other):
-            for row in m.rows:
-                for e in row:
-                    x = abs(e.real)
-                    if x > scale:
-                        scale = x
-                    x = abs(e.imag)
-                    if x > scale:
-                        scale = x
-        thr = tol.linear(scale)
+        thr = tol.linear(_entry_scale(self, other))
         for ra, rb in zip(self.rows, other.rows):
             for a, b in zip(ra, rb):
                 if not abs(a - b) <= thr:
@@ -180,6 +193,7 @@ class _SquareMatrix:
 class Matrix4(_SquareMatrix):
     """A 4x4 complex matrix with self-contained arithmetic."""
 
+    __slots__ = ()
     _n = 4
 
     @staticmethod
@@ -200,6 +214,7 @@ class Matrix4(_SquareMatrix):
 class Matrix2(_SquareMatrix):
     """A 2x2 complex matrix with self-contained arithmetic."""
 
+    __slots__ = ()
     _n = 2
 
     @staticmethod
@@ -240,11 +255,7 @@ def from_matrix4(m, tol=DEFAULT_TOL):
         (y, 1j * z, a, -1j * x),
         (z, -1j * y, 1j * x, a),
     )
-    scale = 0.0
-    for row in r:
-        for e in row:
-            scale = max(scale, abs(e.real), abs(e.imag))
-    thr = tol.linear(scale)
+    thr = tol.linear(_entry_scale(m))
     for i in range(4):
         for j in range(4):
             if abs(r[i][j] - expected[i][j]) > thr:

@@ -8,11 +8,12 @@ part is the oriented paravector vector product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
 from enum import Enum
 
 from . import core
-from .core import Paravector, vdot
+from .core import vdot
+from .errors import ValidationError
 
 
 class Orientation(Enum):
@@ -20,26 +21,26 @@ class Orientation(Enum):
     LEFT = "left"
 
 
-@dataclass(frozen=True, slots=True)
-class IntegratedProduct:
-    value: Paravector
-    orientation: Orientation
-
-
 def integrated(a, b, orientation=Orientation.RIGHT):
     """Oriented integrated product of two paravectors."""
     if orientation is Orientation.RIGHT:
-        return IntegratedProduct(core.mul(a, b.rev()), orientation)
+        return core.mul(a, b.rev())
     if orientation is Orientation.LEFT:
-        return IntegratedProduct(core.mul(a.rev(), b), orientation)
+        return core.mul(a.rev(), b)
     raise TypeError("orientation must be Orientation.RIGHT or Orientation.LEFT")
 
 
 def scalar_product(a, b):
-    """s1*s2 - v1.v2, the shared scalar part of both oriented products."""
-    return a.s * b.s - vdot(a.v, b.v)
+    """s1*s2 - v1.v2, the shared scalar part of both oriented products.
+
+    Raises :class:`ValidationError` when it overflows, as ``det`` does.
+    """
+    d = a.s * b.s - vdot(a.v, b.v)
+    if not cmath.isfinite(d):
+        raise ValidationError("scalar product overflows: components too large")
+    return d
 
 
 def vector_product(a, b, orientation=Orientation.RIGHT):
     """Vector part of the oriented integrated product, as a complex 3-tuple."""
-    return integrated(a, b, orientation).value.v
+    return integrated(a, b, orientation).v

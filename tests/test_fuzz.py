@@ -120,3 +120,23 @@ def test_import_paravec_loads_the_fuzz_engine_on_first_use():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_cli_loads_the_fuzz_engine_only_for_the_fuzz_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, paravec.cli; print('paravec.fuzz' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+    argv = ["fuzz", "--seed", "7", "--trials", "40", "--mutant", "mul-drop-cross"]
+    out = subprocess.run(
+        [sys.executable, "-m", "paravec", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 3, out.stderr
+    assert "FAIL" in out.stdout

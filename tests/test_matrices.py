@@ -183,6 +183,20 @@ class TestTrustedResults:
             tiny.inverse()
 
 
+@pytest.mark.parametrize("m", [Matrix4.identity(), to_matrix4(ONE) @ to_matrix4(ONE),
+                               Matrix2.identity(), to_pauli(ONE)])
+def test_matrices_are_immutable(m):
+    rows, h = m.rows, hash(m)
+    with pytest.raises(AttributeError):
+        m.foo = 1
+    with pytest.raises(AttributeError):
+        m.rows = Matrix4.identity().rows
+    with pytest.raises(AttributeError):
+        del m.rows
+    assert not hasattr(m, "__dict__")
+    assert m.rows is rows and hash(m) == h
+
+
 _signed_zeros = st.sampled_from(
     [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j, -1j]
 )

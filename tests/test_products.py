@@ -8,10 +8,10 @@ import _oracles as oracles
 from _strategies import components, paravectors
 from paravec import (
     ONE,
-    IntegratedProduct,
     Orientation,
     Paravector,
     Tolerance,
+    ValidationError,
     approx_eq,
     classify,
     integrated,
@@ -29,18 +29,18 @@ class TestIntegrated:
     def test_self_product_collapses_to_determinant(self):
         g = Paravector(2 - 1j, (1, 2j, 0.5))
         p = integrated(g, g, Orientation.RIGHT)
-        assert isinstance(p, IntegratedProduct)
-        assert approx_eq(p.value, Paravector(g.det(), (0, 0, 0)))
+        assert isinstance(p, Paravector)
+        assert approx_eq(p, Paravector(g.det(), (0, 0, 0)))
 
     def test_right_example(self):
-        got = integrated(A, B, Orientation.RIGHT).value
+        got = integrated(A, B, Orientation.RIGHT)
         assert got == Paravector(1, (1, -1, -1j))
         # cross-check through the matrix embedding
         want = oracles.np4(A) @ oracles.np4(B.rev())
         assert np.allclose(oracles.np4(got), want)
 
     def test_left_example(self):
-        got = integrated(A, B, Orientation.LEFT).value
+        got = integrated(A, B, Orientation.LEFT)
         assert got == Paravector(1, (-1, 1, -1j))
 
     def test_orientation_must_be_an_orientation(self):
@@ -49,8 +49,8 @@ class TestIntegrated:
 
     @given(paravectors(), paravectors())
     def test_scalar_parts_of_both_orientations_agree(self, a, b):
-        r = integrated(a, b, Orientation.RIGHT).value.s
-        l = integrated(a, b, Orientation.LEFT).value.s
+        r = integrated(a, b, Orientation.RIGHT).s
+        l = integrated(a, b, Orientation.LEFT).s
         sp = scalar_product(a, b)
         assert r == pytest.approx(sp, abs=1e-9)
         assert l == pytest.approx(sp, abs=1e-9)
@@ -59,29 +59,29 @@ class TestIntegrated:
     def test_reversion_swaps_the_arguments(self, a, b):
         for o in Orientation:
             assert approx_eq(
-                integrated(a, b, o).value.rev(), integrated(b, a, o).value, TOL8
+                integrated(a, b, o).rev(), integrated(b, a, o), TOL8
             )
 
     @given(paravectors(), paravectors(), paravectors())
     def test_additive_in_the_first_argument(self, a, b, c):
         for o in Orientation:
-            lhs = integrated(a + b, c, o).value
-            rhs = integrated(a, c, o).value + integrated(b, c, o).value
+            lhs = integrated(a + b, c, o)
+            rhs = integrated(a, c, o) + integrated(b, c, o)
             assert approx_eq(lhs, rhs, TOL8)
 
     @given(paravectors(), paravectors(), components, components)
     def test_homogeneous_in_complex_scalars(self, a, b, re, im):
         lam = complex(re, im)
         for o in Orientation:
-            base = integrated(a, b, o).value * lam
-            assert approx_eq(integrated(a * lam, b, o).value, base, TOL8)
-            assert approx_eq(integrated(a, b * lam, o).value, base, TOL8)
+            base = integrated(a, b, o) * lam
+            assert approx_eq(integrated(a * lam, b, o), base, TOL8)
+            assert approx_eq(integrated(a, b * lam, o), base, TOL8)
 
     @given(paravectors(), paravectors())
     def test_determinant_factorizes(self, a, b):
         target = a.det() * b.det()
         for o in Orientation:
-            d = integrated(a, b, o).value.det()
+            d = integrated(a, b, o).det()
             assert abs(d - target) <= 1e-8 * max(1.0, abs(d), abs(target))
         sp = scalar_product(a, b)
         vv = vector_product(a, b, Orientation.RIGHT)
@@ -96,7 +96,7 @@ class TestScalarProduct:
 
     def test_frozen_example(self):
         assert scalar_product(A, B) == pytest.approx(1 + 0j)
-        assert integrated(A, B, Orientation.RIGHT).value.s == pytest.approx(1 + 0j)
+        assert integrated(A, B, Orientation.RIGHT).s == pytest.approx(1 + 0j)
 
     def test_perpendicular_pair(self):
         assert scalar_product(ONE, Paravector(0, (1, 0, 0))) == 0
@@ -109,6 +109,13 @@ class TestScalarProduct:
         g = Paravector(1, (1, 0, 0))
         assert scalar_product(g, g) == 0
         assert classify(g).is_singular
+
+    def test_overflow_raises(self):
+        big = Paravector(1e200, (0, 0, 0))
+        with pytest.raises(ValidationError):
+            scalar_product(big, big)
+        with pytest.raises(ValidationError):
+            scalar_product(Paravector(0, (1e200, 0, 0)), Paravector(0, (1e200, 0, 0)))
 
 
 class TestVectorProduct:

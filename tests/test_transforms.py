@@ -288,8 +288,8 @@ class TestOrthogonalTransform:
         from paravec import integrated
 
         lam = f.normalize()
-        lhs = integrated(a * lam, b * lam, RIGHT).value
-        assert approx_eq(lhs, integrated(a, b, RIGHT).value, Tolerance(1e-7, 1e-7))
+        lhs = integrated(a * lam, b * lam, RIGHT)
+        assert approx_eq(lhs, integrated(a, b, RIGHT), Tolerance(1e-7, 1e-7))
 
     @given(real_vectors(min_norm=0.3), proper_paravectors())
     def test_sphere_stays_on_the_sphere(self, x, f):

@@ -135,6 +135,13 @@ class TestCliBasics:
         assert payload["singular"] is True
         assert payload["det"] == [0.0, 0.0]
 
+    def test_sprod_overflow_is_a_domain_error(self, capsys):
+        big = "[1e200,0,0,0,0,0,0,0]"
+        assert main(["sprod", big, big]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("pv: ")
+
     def test_sprod_and_vprod(self, capsys):
         assert main(["sprod", "[1,0,1,0,0,0,0,0]", "[1,0,0,1,0,0,0,0]"]) == 0
         assert json.loads(capsys.readouterr().out) == [1.0, 0.0]
