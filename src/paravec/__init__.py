@@ -22,6 +22,7 @@ from .core import (
     component_norm,
     component_scale,
     format_complex,
+    is_orthogonal_transform,
     mul,
     vcross,
     vdot,
@@ -71,7 +72,6 @@ from .transforms import (
     axial_symmetry,
     compose_mirrors,
     euler_compose,
-    is_orthogonal_transform,
     mirror,
     rotate,
     rotate_vector,

@@ -215,11 +215,9 @@ def _resolve_tol(args):
 def _fuzz(args, tol):
     from .fuzz import run_fuzz  # loaded here so that other commands skip the registry
 
-    if args.seed < 0:
-        raise _UsageError("--seed must be nonnegative")
     try:
         report = run_fuzz(seed=args.seed, trials=args.trials, tol=tol, mutant=args.mutant)
-    except ValueError as exc:  # an unknown mutant, or fewer than one trial
+    except ValueError as exc:  # an unknown mutant, a bad seed or fewer than one trial
         raise _UsageError(str(exc)) from None
     print(_compact(report.to_dict()) if args.json else report.format_text())
     return 3 if report.failed_properties else 0

@@ -23,6 +23,46 @@ from dataclasses import dataclass
 from .errors import ImproperParavector, SingularParavector, ValidationError
 
 _NUMBER_TYPES = (int, float, complex)
+_COMPONENTS = "paravector components"
+
+
+def _as_complex(z, what="numbers"):
+    """``z`` as a finite complex number, else :class:`ValidationError` naming ``what``."""
+    try:
+        z = complex(z)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{what} must be finite") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numbers, not {type(z).__name__}") from None
+    if not cmath.isfinite(z):
+        raise ValidationError(f"{what} must be finite")
+    return z
+
+
+def _as_real(x, what="numbers"):
+    """``x`` as a finite float; a nonzero imaginary part is an error."""
+    z = _as_complex(x, what)
+    if z.imag:
+        raise ValidationError(f"{what} must be real")
+    return z.real
+
+
+def _as_cvector(w, what="vector components"):
+    """The one check of the complex 3-vector shape: three finite complex numbers."""
+    try:
+        if len(w) == 3:
+            return (_as_complex(w[0], what), _as_complex(w[1], what), _as_complex(w[2], what))
+    except (TypeError, LookupError):
+        pass
+    raise ValidationError("expected a 3-vector: exactly three numbers")
+
+
+def _as_rvector(w, what="vector components"):
+    """``_as_cvector`` for a real 3-vector, returned as three floats."""
+    v = _as_cvector(w, what)
+    if v[0].imag or v[1].imag or v[2].imag:
+        raise ValidationError(f"{what} must be real")
+    return (v[0].real, v[1].real, v[2].real)
 
 
 def vdot(u, v):
@@ -70,10 +110,11 @@ class Tolerance:
     rel: float = 1e-9
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs) and math.isfinite(self.rel)):
-            raise ValidationError("tolerances must be finite")
-        if self.abs < 0.0 or self.rel < 0.0:
+        a, r = _as_real(self.abs, "tolerances"), _as_real(self.rel, "tolerances")
+        if a < 0.0 or r < 0.0:
             raise ValidationError("tolerances must be nonnegative")
+        object.__setattr__(self, "abs", a)
+        object.__setattr__(self, "rel", r)
 
     def linear(self, scale):
         return self.abs + self.rel * scale
@@ -97,40 +138,16 @@ class Paravector:
     v: tuple
 
     def __post_init__(self):
-        s = self.s
-        if type(s) is not complex:
-            s = complex(s)
-        raw = self.v
-        if (
-            type(raw) is tuple
-            and len(raw) == 3
-            and type(raw[0]) is complex
-            and type(raw[1]) is complex
-            and type(raw[2]) is complex
-        ):
-            v = raw
-        else:
-            try:
-                if len(raw) != 3:
-                    raise ValidationError(
-                        "vector part must hold exactly three components"
-                    )
-                v = (complex(raw[0]), complex(raw[1]), complex(raw[2]))
-            except ValidationError:
-                raise
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    "vector part must hold three complex numbers"
-                ) from None
+        s, v = self.s, self.v
         if not (
-            cmath.isfinite(s)
-            and cmath.isfinite(v[0])
-            and cmath.isfinite(v[1])
-            and cmath.isfinite(v[2])
-        ):
-            raise ValidationError("paravector components must be finite")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "v", v)
+            type(s) is complex
+            and type(v) is tuple
+            and len(v) == 3
+            and type(v[0]) is type(v[1]) is type(v[2]) is complex
+            and cmath.isfinite(s + v[0] + v[1] + v[2])
+        ):  # one by one: a sum of finite components can still overflow
+            object.__setattr__(self, "s", _as_complex(s, _COMPONENTS))
+            object.__setattr__(self, "v", _as_cvector(v, _COMPONENTS))
 
     # -- involutions -------------------------------------------------
 
@@ -363,6 +380,16 @@ def classify(p, tol=DEFAULT_TOL):
         and abs(w.v[2]) <= qthr
     )
     return Classification(d, proper, singular, orthogonal, special, unitar, tol)
+
+
+def is_orthogonal_transform(p, tol=DEFAULT_TOL):
+    """True when ``p`` has determinant one, to ``tol``.
+
+    The one determinant-one check; ``Angle`` and ``RotationAxis`` use it.
+    Such paravectors preserve scalar products and determinants."""
+    if not isinstance(p, Paravector):
+        raise ValidationError(f"expected a Paravector, not {type(p).__name__}")
+    return abs(p.det() - 1.0) <= tol.quadratic(_pv_scale(p))
 
 
 def _pv_scale(p):

@@ -1472,10 +1472,13 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
 
     ``suites`` restricts the run to the named suites; ``mutant`` installs
     one of the documented defects for the duration of the run.  The
-    report is a pure function of the arguments.
+    report is a pure function of the arguments.  ``seed`` must lie in
+    [0, 2**64), the generator's state space.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not 0 <= seed <= _MASK:  # the generator would alias it modulo 2**64
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if suites is not None:
         unknown = set(suites) - set(SUITES)
         if unknown:

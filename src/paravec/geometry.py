@@ -24,6 +24,7 @@ from .core import (
     Paravector,
     component_norm,
     component_scale,
+    is_orthogonal_transform,
     vcross,
     vnorm,
 )
@@ -44,9 +45,7 @@ class Angle:
     orientation: Orientation
 
     def __post_init__(self):
-        d = self.value.det()
-        sc = component_scale(self.value)
-        if abs(d - 1.0) > 1e-6 * max(1.0, sc * sc):
+        if not is_orthogonal_transform(self.value):
             raise InvariantViolation("an angle paravector must have determinant one")
 
     @property

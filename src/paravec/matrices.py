@@ -18,21 +18,17 @@ from __future__ import annotations
 
 import cmath
 
-from .core import DEFAULT_TOL, Paravector, format_complex
+from .core import DEFAULT_TOL, Paravector, _as_complex, format_complex
 from .errors import NotAParavectorMatrix, ValidationError
 
 
 def _check_rows(rows, n):
     try:
-        rows = tuple(tuple(complex(e) for e in row) for row in rows)
-    except (TypeError, ValueError):
-        raise ValidationError("matrix rows must hold complex numbers") from None
+        rows = tuple(tuple(_as_complex(e, "matrix entries") for e in row) for row in rows)
+    except TypeError:  # the rows, or one row, cannot be iterated
+        raise ValidationError(f"expected a {n}x{n} matrix") from None
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValidationError(f"expected a {n}x{n} matrix")
-    for row in rows:
-        for e in row:
-            if not cmath.isfinite(e):
-                raise ValidationError("matrix entries must be finite")
     return rows
 
 

@@ -19,8 +19,12 @@ from .core import (
     DEFAULT_TOL,
     ONE,
     Paravector,
+    _as_cvector,
+    _as_real,
+    _as_rvector,
     _make,
     component_scale,
+    is_orthogonal_transform,
     vcross,
     vdot,
 )
@@ -29,9 +33,10 @@ from .errors import (
     DegenerateComposition,
     ImproperParavector,
     IsotropicNormal,
-    ValidationError,
 )
 from .products import Orientation
+
+_PARAMETERS = "rotation parameters"
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,22 +46,27 @@ class RotationAxis:
     value: Paravector
 
     def __post_init__(self):
-        d = self.value.det()
-        sc = component_scale(self.value)
-        if abs(d - 1.0) > 1e-6 * max(1.0, sc * sc):
+        if not is_orthogonal_transform(self.value):
             raise ImproperParavector(
                 "a rotation axis must have determinant one; "
                 "normalize a proper paravector first"
             )
 
     @classmethod
+    def _trusted(cls, value):
+        """Axis for a value of determinant one by construction, unchecked."""
+        axis = object.__new__(cls)
+        object.__setattr__(axis, "value", value)
+        return axis
+
+    @classmethod
     def from_paravector(cls, p, tol=DEFAULT_TOL):
         """Normalize any proper paravector into an axis."""
-        return cls(p.normalize(tol))
+        return cls._trusted(p.normalize(tol))
 
     @classmethod
     def identity(cls):
-        return cls(ONE)
+        return cls._trusted(ONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,17 +82,9 @@ class SpatialRotation:
     axis_defined: bool = True
 
     def __post_init__(self):
-        try:
-            n = (float(self.n[0]), float(self.n[1]), float(self.n[2]))
-        except (TypeError, ValueError, IndexError):
-            raise BadUnitVector("axis must be a real 3-vector") from None
-        if len(self.n) != 3:
-            raise BadUnitVector("axis must be a real 3-vector")
-        phi = float(self.phi)
-        if not all(math.isfinite(c) for c in n) or not math.isfinite(phi):
-            raise ValidationError("rotation parameters must be finite")
+        n, phi = _as_rvector(self.n, _PARAMETERS), _as_real(self.phi, _PARAMETERS)
         norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-        if abs(norm - 1.0) > 1e-6:
+        if abs(norm - 1.0) > DEFAULT_TOL.linear(1.0):
             raise BadUnitVector("axis vector must have unit length")
         object.__setattr__(self, "n", (n[0] / norm, n[1] / norm, n[2] / norm))
         object.__setattr__(self, "phi", phi)
@@ -90,14 +92,11 @@ class SpatialRotation:
     @classmethod
     def about(cls, axis, phi):
         """Build a rotation about any non-tiny real vector, normalizing it."""
-        try:
-            a = (float(axis[0]), float(axis[1]), float(axis[2]))
-        except (TypeError, ValueError, IndexError):
-            raise BadUnitVector("axis must be a real 3-vector") from None
+        a = _as_rvector(axis, _PARAMETERS)
         norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
         if not math.isfinite(norm) or norm < 1e-12:
             raise BadUnitVector("axis vector must be nonzero")
-        return cls((a[0] / norm, a[1] / norm, a[2] / norm), float(phi))
+        return cls((a[0] / norm, a[1] / norm, a[2] / norm), phi)
 
 
 def similarity(g, f, tol=DEFAULT_TOL):
@@ -128,7 +127,7 @@ def spatial_axis(rotation):
     s = math.sin(rotation.phi)
     n = rotation.n
     v = (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)
-    return RotationAxis(_make(complex(c), v))
+    return RotationAxis._trusted(_make(complex(c), v))
 
 
 def rotate_vector(w, rotation):
@@ -138,11 +137,8 @@ def rotate_vector(w, rotation):
     rotation, and reads the real vector back out.  Agrees with the
     classical axis-angle rotation formula.
     """
-    try:
-        wr = (float(w[0]), float(w[1]), float(w[2]))
-    except (TypeError, ValueError, IndexError):
-        raise ValidationError("expected a real 3-vector") from None
-    g = _make(0j, (complex(wr[0]), complex(wr[1]), complex(wr[2])))
+    x, y, z = _as_rvector(w)
+    g = _make(0j, (complex(x), complex(y), complex(z)))
     r = rotate(g, spatial_axis(rotation), Orientation.LEFT)
     return (r.v[0].real, r.v[1].real, r.v[2].real)
 
@@ -165,15 +161,13 @@ def euler_compose(r1, r2, tol=DEFAULT_TOL):
     return SpatialRotation((m[0] / s, m[1] / s, m[2] / s), math.atan2(s, c))
 
 
-def _as_cvector(w):
-    try:
-        if len(w) != 3:
-            raise ValidationError("expected a 3-vector")
-        return (complex(w[0]), complex(w[1]), complex(w[2]))
-    except ValidationError:
-        raise
-    except (TypeError, ValueError):
-        raise ValidationError("expected a 3-vector of complex numbers") from None
+def _anisotropic(w, tol, message):
+    """``w`` as a complex 3-vector and its square ``w.w``, nonzero to ``tol``."""
+    w = _as_cvector(w)
+    ww = vdot(w, w)
+    if abs(ww) <= tol.quadratic(component_scale(w)):
+        raise IsotropicNormal(message)
+    return w, ww
 
 
 def mirror(g, w, tol=DEFAULT_TOL):
@@ -184,11 +178,7 @@ def mirror(g, w, tol=DEFAULT_TOL):
     component along the normal is reflected.  Normals with ``w.w = 0``
     are rejected.
     """
-    w = _as_cvector(w)
-    ww = vdot(w, w)
-    sc = component_scale(w)
-    if abs(ww) <= tol.quadratic(sc):
-        raise IsotropicNormal("mirror normal squares to zero")
+    w, ww = _anisotropic(w, tol, "mirror normal squares to zero")
     plane = _make(0j, w)
     return ((plane * g) * plane) * (-1.0 / ww)
 
@@ -200,18 +190,15 @@ def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
     determinant one; applying the left rotation with it reproduces the
     two sequential mirrors.
     """
-    w1 = _as_cvector(w1)
-    w2 = _as_cvector(w2)
-    for w in (w1, w2):
-        if abs(vdot(w, w)) <= tol.quadratic(component_scale(w)):
-            raise IsotropicNormal("mirror normal squares to zero")
+    w1, _ = _anisotropic(w1, tol, "mirror normal squares to zero")
+    w2, _ = _anisotropic(w2, tol, "mirror normal squares to zero")
     cr = vcross(w1, w2)
     num = Paravector(vdot(w1, w2), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
     d = num.det()
     snn = component_scale(w1) * component_scale(w2)
     if abs(d) <= tol.abs + tol.rel * snn * snn:
         raise DegenerateComposition("mirror normals compose to no definite axis")
-    return RotationAxis(num * (1.0 / cmath.sqrt(d)))
+    return RotationAxis._trusted(num * (1.0 / cmath.sqrt(d)))
 
 
 def axial_symmetry(g, w, tol=DEFAULT_TOL):
@@ -220,19 +207,7 @@ def axial_symmetry(g, w, tol=DEFAULT_TOL):
     Preserves the scalar component; for a real w the vector part maps to
     ``2 (v.n) n - v`` with n the unit direction of w.
     """
-    w = _as_cvector(w)
-    ww = vdot(w, w)
-    if abs(ww) <= tol.quadratic(component_scale(w)):
-        raise IsotropicNormal("axial vector squares to zero")
+    w, ww = _anisotropic(w, tol, "axial vector squares to zero")
     left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
     right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
     return ((left * g) * right) * (1.0 / ww)
-
-
-def is_orthogonal_transform(p, tol=DEFAULT_TOL):
-    """True when the paravector has determinant one.
-
-    Such paravectors preserve scalar products and determinants under the
-    transformations they represent.
-    """
-    return abs(p.det() - 1.0) <= tol.quadratic(component_scale(p))

@@ -110,6 +110,7 @@ CASES = [
     ("fuzz-mutant", ["fuzz", "--seed", "7", "--trials", "2", "--mutant", "rev-sign"], None),
     ("fuzz-trials-0", ["fuzz", "--trials", "0"], None),
     ("fuzz-seed-negative", ["fuzz", "--seed", "-1", "--trials", "1"], None),
+    ("fuzz-seed-huge", ["fuzz", "--seed", "99999999999999999999999", "--trials", "1"], None),
     ("fuzz-mutant-bogus", ["fuzz", "--mutant", "bogus"], None),
     # help pages
     ("help", ["-h"], None),

@@ -71,6 +71,15 @@ class TestRunFuzz:
         with pytest.raises(ValueError):
             run_fuzz(seed=5, trials=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seeds_outside_the_generator_state_space_are_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run_fuzz(seed=seed, trials=1)
+
+    def test_largest_seed_is_run_and_reported_as_given(self):
+        r = run_fuzz(seed=2**64 - 1, trials=1, suites=["ring"])
+        assert r.seed == 2**64 - 1 and r.to_dict()["seed"] == 2**64 - 1
+
     def test_every_suite_is_populated(self):
         r = run_fuzz(seed=5, trials=2)
         seen = {p.name.split("/", 1)[0] for p in r.properties}
