@@ -15,7 +15,7 @@ component is named ``cosinis`` and the vector component ``sinis``
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 from .core import (
@@ -122,23 +122,29 @@ def parallel_ratio(a, b):
     return comps_a[k] / comps_b[k]
 
 
-def _proper_module(p, tol):
+def _proper_root(p, tol):
+    """Square root of the determinant of a paravector that is proper to ``tol``.
+
+    The complex root: it is the module when the determinant is exactly
+    real, and it also divides out the imaginary part that ``tol`` lets
+    through, so an angle built from it has determinant one.
+    """
     d = p.det()
     thr = tol.quadratic(component_scale(p))
     if abs(d.imag) > thr or d.real <= thr:
         raise ImproperParavector("angles are defined between proper paravectors only")
-    return math.sqrt(d.real)
+    return cmath.sqrt(d)
 
 
 def angle(a, b, orientation=Orientation.RIGHT, tol=DEFAULT_TOL):
     """Oriented angle between two proper paravectors.
 
-    The integrated product divided by both modules; the result has
-    determinant one.
+    The integrated product divided by the square roots of both
+    determinants; the result has determinant one.
     """
-    ma = _proper_module(a, tol)
-    mb = _proper_module(b, tol)
-    value = integrated(a, b, orientation) * (1.0 / (ma * mb))
+    ra = _proper_root(a, tol)
+    rb = _proper_root(b, tol)
+    value = integrated(a, b, orientation) * (1.0 / (ra * rb))
     return Angle(value, orientation)
 
 

@@ -53,20 +53,13 @@ class RotationAxis:
             )
 
     @classmethod
-    def _trusted(cls, value):
-        """Axis for a value of determinant one by construction, unchecked."""
-        axis = object.__new__(cls)
-        object.__setattr__(axis, "value", value)
-        return axis
-
-    @classmethod
     def from_paravector(cls, p, tol=DEFAULT_TOL):
         """Normalize any proper paravector into an axis."""
-        return cls._trusted(p.normalize(tol))
+        return cls(p.normalize(tol))
 
     @classmethod
     def identity(cls):
-        return cls._trusted(ONE)
+        return cls(ONE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +120,7 @@ def spatial_axis(rotation):
     s = math.sin(rotation.phi)
     n = rotation.n
     v = (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)
-    return RotationAxis._trusted(_make(complex(c), v))
+    return RotationAxis(_make(complex(c), v))
 
 
 def rotate_vector(w, rotation):
@@ -198,7 +191,7 @@ def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
     snn = component_scale(w1) * component_scale(w2)
     if abs(d) <= tol.abs + tol.rel * snn * snn:
         raise DegenerateComposition("mirror normals compose to no definite axis")
-    return RotationAxis._trusted(num * (1.0 / cmath.sqrt(d)))
+    return RotationAxis(num * (1.0 / cmath.sqrt(d)))
 
 
 def axial_symmetry(g, w, tol=DEFAULT_TOL):

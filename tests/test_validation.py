@@ -23,6 +23,7 @@ from paravec import (
     RotationAxis,
     SpatialRotation,
     Tolerance,
+    angle,
     axial_symmetry,
     compose_mirrors,
     mirror,
@@ -112,6 +113,23 @@ def test_unit_length_is_checked_at_the_default_tolerance():
         SpatialRotation((1.0 + 1e-7, 0, 0), 0.3)
     n = SpatialRotation((1.0 + 1e-10, 0, 0), 0.3).n
     assert n == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("imag, tol", [(5e-9, DEFAULT_TOL), (5e-8, Tolerance(1e-7, 1e-7))])
+def test_angle_accepts_every_operand_its_proper_test_accepts(imag, tol):
+    # det(a) = 0.01 + 1e-8i: its imaginary part passes the proper test at
+    # ``tol`` but is far above the Angle check's threshold relative to 0.01
+    a = Paravector(0.1 + imag * 1j, (0, 0, 0))
+    assert abs(a.det().imag) <= tol.quadratic(0.1)
+    for value in (angle(a, paravec.ONE, tol=tol).value, angle(a, a, tol=tol).value):
+        assert abs(value.det() - 1.0) <= 1e-15
+
+
+def test_from_paravector_rejects_an_axis_a_loose_tolerance_lets_through():
+    # normalize at 1e-3 accepts it, but its normalized determinant is 1-1e-4i
+    p = Paravector(1, (0, 0, 0.01 + 0.005j))
+    with pytest.raises(ImproperParavector, match="determinant one"):
+        RotationAxis.from_paravector(p, Tolerance(1e-3, 1e-3))
 
 
 def test_internally_built_axes_have_determinant_one():
