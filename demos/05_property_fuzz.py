@@ -3,7 +3,12 @@
 The same campaigns are reachable from the shell as ``pv fuzz``.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
+
 from paravec import SUITES, run_fuzz
+from paravec.cli import main
 
 print("A campaign evaluates every registered law against seeded trials.")
 print(f"Suites: {', '.join(SUITES)}\n")
@@ -23,8 +28,22 @@ for r in caught[:5]:
     print(f"    {r.name}  (fails {r.fails}/50, "
           f"first at trial {r.counterexample['trial']})")
 
-first = caught[0].counterexample
-print("\nCounterexamples carry the wire form of every input, ready to replay")
-print("through the pv command line tool:")
-for name, value in first["inputs"].items():
+first = caught[0]
+print("\nA counterexample lists, in wire form, each operand family its failing")
+print(f"check read, in reading order. For {first.name}:")
+for name, value in first.counterexample["inputs"].items():
     print(f"  {name} = {value}")
+
+
+def pv(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue().strip()
+
+
+print("\nEach value is a pv operand, ready to replay through the command line")
+print("tool. With the correct product installed, both groupings agree to rounding:")
+a, b, c = (json.dumps(first.counterexample["inputs"][k]) for k in "abc")
+print(f"  pv mul $(pv mul a b) c = {pv('mul', pv('mul', a, b), c)}")
+print(f"  pv mul a $(pv mul b c) = {pv('mul', a, pv('mul', b, c))}")

@@ -203,13 +203,12 @@ class Paravector:
     def module(self, tol=DEFAULT_TOL):
         """Nonnegative real square root of the determinant.
 
-        Defined on proper or singular paravectors only; raises
-        :class:`ImproperParavector` when the determinant has a significant
-        imaginary part or a negative real part.
+        Defined on proper or singular paravectors only (as ``classify``
+        decides them); raises :class:`ImproperParavector` otherwise.
         """
         d = self.det()
         thr = tol.quadratic(_pv_scale(self))
-        if abs(d.imag) > thr or d.real < -thr:
+        if abs(d) > thr and (abs(d.imag) > thr or d.real <= thr):
             raise ImproperParavector("module needs a real nonnegative determinant")
         return math.sqrt(d.real) if d.real > 0.0 else 0.0
 
@@ -362,7 +361,7 @@ def classify(p, tol=DEFAULT_TOL):
     sc = _pv_scale(p)
     qthr = tol.quadratic(sc)
     singular = abs(d) <= qthr
-    proper = (not singular) and abs(d.imag) <= qthr and d.real > 0.0
+    proper = abs(d.imag) <= qthr and d.real > qthr
     orthogonal = proper and abs(d - 1.0) <= qthr
     lthr = tol.linear(sc)
     v = p.v

@@ -4,8 +4,8 @@ Every algebraic law the package promises is registered here as a named
 property grouped into suites (ring, involution, detvig, product,
 parallel, metric, angle, rotation, mirror, matrix, orthogonal).  A
 campaign draws one deterministic pack of operands per trial and evaluates
-every property against it; the report lists pass/fail counts and the
-first counterexample per property.
+every property against it; the report lists pass/fail counts and, per
+property, the first failing trial with the operand families its check read.
 
 Determinism and portability
 ---------------------------
@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from . import core, matrices
@@ -415,7 +415,6 @@ def _zero_c(x, tol, scale):
 class Property:
     suite: str
     name: str
-    inputs: tuple
     check: object
 
     @property
@@ -426,9 +425,9 @@ class Property:
 _PROPS = []
 
 
-def _prop(suite, name, inputs):
+def _prop(suite, name):
     def deco(fn):
-        _PROPS.append(Property(suite, name, tuple(inputs), fn))
+        _PROPS.append(Property(suite, name, fn))
         return fn
 
     return deco
@@ -437,42 +436,42 @@ def _prop(suite, name, inputs):
 # -- ring axioms ------------------------------------------------------------
 
 
-@_prop("ring", "add-commutative", ("a", "b"))
+@_prop("ring", "add-commutative")
 def _(p, tol):
     return approx_eq(p.a + p.b, p.b + p.a, tol)
 
 
-@_prop("ring", "add-associative", ("a", "b", "c"))
+@_prop("ring", "add-associative")
 def _(p, tol):
     return approx_eq((p.a + p.b) + p.c, p.a + (p.b + p.c), tol)
 
 
-@_prop("ring", "add-identity", ("a",))
+@_prop("ring", "add-identity")
 def _(p, tol):
     return approx_eq(p.a + ZERO, p.a, tol)
 
 
-@_prop("ring", "add-opposite", ("a",))
+@_prop("ring", "add-opposite")
 def _(p, tol):
     return approx_eq(p.a + (-p.a), ZERO, tol)
 
 
-@_prop("ring", "mul-identity", ("a",))
+@_prop("ring", "mul-identity")
 def _(p, tol):
     return approx_eq(ONE * p.a, p.a, tol) and approx_eq(p.a * ONE, p.a, tol)
 
 
-@_prop("ring", "mul-associative", ("a", "b", "c"))
+@_prop("ring", "mul-associative")
 def _(p, tol):
     return approx_eq((p.a * p.b) * p.c, p.a * (p.b * p.c), tol)
 
 
-@_prop("ring", "distributes-left", ("a", "b", "c"))
+@_prop("ring", "distributes-left")
 def _(p, tol):
     return approx_eq(p.a * (p.b + p.c), p.a * p.b + p.a * p.c, tol)
 
 
-@_prop("ring", "distributes-right", ("a", "b", "c"))
+@_prop("ring", "distributes-right")
 def _(p, tol):
     return approx_eq((p.a + p.b) * p.c, p.a * p.c + p.b * p.c, tol)
 
@@ -480,37 +479,37 @@ def _(p, tol):
 # -- involution table ---------------------------------------------------------
 
 
-@_prop("involution", "rev-involution", ("a",))
+@_prop("involution", "rev-involution")
 def _(p, tol):
     return approx_eq(p.a.rev().rev(), p.a, tol)
 
 
-@_prop("involution", "conj-involution", ("a",))
+@_prop("involution", "conj-involution")
 def _(p, tol):
     return approx_eq(p.a.conj().conj(), p.a, tol)
 
 
-@_prop("involution", "rev-additive", ("a", "b"))
+@_prop("involution", "rev-additive")
 def _(p, tol):
     return approx_eq((p.a + p.b).rev(), p.a.rev() + p.b.rev(), tol)
 
 
-@_prop("involution", "conj-additive", ("a", "b"))
+@_prop("involution", "conj-additive")
 def _(p, tol):
     return approx_eq((p.a + p.b).conj(), p.a.conj() + p.b.conj(), tol)
 
 
-@_prop("involution", "rev-antimultiplicative", ("a", "b"))
+@_prop("involution", "rev-antimultiplicative")
 def _(p, tol):
     return approx_eq((p.a * p.b).rev(), p.b.rev() * p.a.rev(), tol)
 
 
-@_prop("involution", "conj-antimultiplicative", ("a", "b"))
+@_prop("involution", "conj-antimultiplicative")
 def _(p, tol):
     return approx_eq((p.a * p.b).conj(), p.b.conj() * p.a.conj(), tol)
 
 
-@_prop("involution", "rev-conj-commute", ("a",))
+@_prop("involution", "rev-conj-commute")
 def _(p, tol):
     return approx_eq(p.a.rev().conj(), p.a.conj().rev(), tol)
 
@@ -542,17 +541,17 @@ def _vig_components(g):
     return Paravector(scalar, (complex(vec[0]), complex(vec[1]), complex(vec[2])))
 
 
-@_prop("detvig", "det-closed-form", ("a",))
+@_prop("detvig", "det-closed-form")
 def _(p, tol):
     return _close_c(p.a.det(), _det_components(p.a), tol)
 
 
-@_prop("detvig", "vig-closed-form", ("a",))
+@_prop("detvig", "vig-closed-form")
 def _(p, tol):
     return approx_eq(p.a.vig(), _vig_components(p.a), tol)
 
 
-@_prop("detvig", "vig-real-nonnegative", ("a",))
+@_prop("detvig", "vig-real-nonnegative")
 def _(p, tol):
     w = p.a.vig()
     thr = tol.quadratic(component_scale(p.a))
@@ -565,27 +564,27 @@ def _(p, tol):
     )
 
 
-@_prop("detvig", "det-multiplicative", ("a", "b"))
+@_prop("detvig", "det-multiplicative")
 def _(p, tol):
     return _close_c((p.a * p.b).det(), p.a.det() * p.b.det(), tol)
 
 
-@_prop("detvig", "det-of-rev", ("a",))
+@_prop("detvig", "det-of-rev")
 def _(p, tol):
     return _close_c(p.a.rev().det(), p.a.det(), tol)
 
 
-@_prop("detvig", "det-of-conj", ("a",))
+@_prop("detvig", "det-of-conj")
 def _(p, tol):
     return _close_c(p.a.conj().det(), p.a.det().conjugate(), tol)
 
 
-@_prop("detvig", "rev-product-commutes", ("a",))
+@_prop("detvig", "rev-product-commutes")
 def _(p, tol):
     return approx_eq(p.a * p.a.rev(), p.a.rev() * p.a, tol)
 
 
-@_prop("detvig", "proper-singular-condition", ("a",))
+@_prop("detvig", "proper-singular-condition")
 def _(p, tol):
     cls = classify(p.a, tol)
     if not (cls.is_proper or cls.is_singular):
@@ -600,25 +599,25 @@ def _(p, tol):
     return abs(ad - bc) <= tol.quadratic(component_scale(g))
 
 
-@_prop("detvig", "module-scalar-multiplicative", ("proper1", "s_real"))
+@_prop("detvig", "module-scalar-multiplicative")
 def _(p, tol):
     lhs = (p.proper1 * p.s_real).module(tol)
     return _close_c(lhs, abs(p.s_real) * p.proper1.module(tol), tol)
 
 
-@_prop("detvig", "module-multiplicative", ("proper1", "proper2"))
+@_prop("detvig", "module-multiplicative")
 def _(p, tol):
     lhs = (p.proper1 * p.proper2).module(tol)
     return _close_c(lhs, p.proper1.module(tol) * p.proper2.module(tol), tol)
 
 
-@_prop("detvig", "orthogonal-rev-is-inverse", ("proper1",))
+@_prop("detvig", "orthogonal-rev-is-inverse")
 def _(p, tol):
     lam = p.proper1.normalize(tol)
     return approx_eq(lam.inverse(tol), lam.rev(), tol)
 
 
-@_prop("detvig", "special-closure", ("special1", "special2"))
+@_prop("detvig", "special-closure")
 def _(p, tol):
     product = p.special1 * p.special2
     total = p.special1 + p.special2
@@ -630,7 +629,7 @@ def _(p, tol):
     )
 
 
-@_prop("detvig", "singular-absorbs", ("sing1", "b"))
+@_prop("detvig", "singular-absorbs")
 def _(p, tol):
     product = p.sing1 * p.b
     sc = component_scale(p.sing1, p.b)
@@ -640,7 +639,7 @@ def _(p, tol):
 # -- integrated, scalar, and vector products ----------------------------------
 
 
-@_prop("product", "scalar-parts-agree", ("a", "b"))
+@_prop("product", "scalar-parts-agree")
 def _(p, tol):
     r = integrated(p.a, p.b, RIGHT).s
     l = integrated(p.a, p.b, LEFT).s
@@ -648,7 +647,7 @@ def _(p, tol):
     return _close_c(r, sp, tol) and _close_c(l, sp, tol)
 
 
-@_prop("product", "det-factorizes", ("a", "b"))
+@_prop("product", "det-factorizes")
 def _(p, tol):
     target = p.a.det() * p.b.det()
     for o in (RIGHT, LEFT):
@@ -659,21 +658,21 @@ def _(p, tol):
     return _close_c(sp * sp - vdot(vv, vv), target, tol)
 
 
-@_prop("product", "right-add-bilinear", ("a", "b", "c"))
+@_prop("product", "right-add-bilinear")
 def _(p, tol):
     lhs = integrated(p.a + p.b, p.c, RIGHT)
     rhs = integrated(p.a, p.c, RIGHT) + integrated(p.b, p.c, RIGHT)
     return approx_eq(lhs, rhs, tol)
 
 
-@_prop("product", "left-add-bilinear", ("a", "b", "c"))
+@_prop("product", "left-add-bilinear")
 def _(p, tol):
     lhs = integrated(p.a + p.b, p.c, LEFT)
     rhs = integrated(p.a, p.c, LEFT) + integrated(p.b, p.c, LEFT)
     return approx_eq(lhs, rhs, tol)
 
 
-@_prop("product", "scalar-homogeneous-right", ("a", "b", "lam"))
+@_prop("product", "scalar-homogeneous-right")
 def _(p, tol):
     base = integrated(p.a, p.b, RIGHT) * p.lam
     left_scaled = integrated(p.a * p.lam, p.b, RIGHT)
@@ -681,7 +680,7 @@ def _(p, tol):
     return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
 
 
-@_prop("product", "scalar-homogeneous-left", ("a", "b", "lam"))
+@_prop("product", "scalar-homogeneous-left")
 def _(p, tol):
     base = integrated(p.a, p.b, LEFT) * p.lam
     left_scaled = integrated(p.a * p.lam, p.b, LEFT)
@@ -689,7 +688,7 @@ def _(p, tol):
     return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
 
 
-@_prop("product", "rev-swaps-arguments", ("a", "b"))
+@_prop("product", "rev-swaps-arguments")
 def _(p, tol):
     for o in (RIGHT, LEFT):
         if not approx_eq(
@@ -699,7 +698,7 @@ def _(p, tol):
     return True
 
 
-@_prop("product", "self-product-is-det", ("a",))
+@_prop("product", "self-product-is-det")
 def _(p, tol):
     expected = Paravector(p.a.det(), (0j, 0j, 0j))
     return approx_eq(integrated(p.a, p.a, RIGHT), expected, tol) and approx_eq(
@@ -707,12 +706,12 @@ def _(p, tol):
     )
 
 
-@_prop("product", "scalar-symmetric", ("a", "b"))
+@_prop("product", "scalar-symmetric")
 def _(p, tol):
     return _close_c(scalar_product(p.a, p.b), scalar_product(p.b, p.a), tol)
 
 
-@_prop("product", "singular-self-scalar", ("sing1",))
+@_prop("product", "singular-self-scalar")
 def _(p, tol):
     sc = component_scale(p.sing1)
     return _zero_c(scalar_product(p.sing1, p.sing1), tol, sc * sc) and classify(
@@ -720,7 +719,7 @@ def _(p, tol):
     ).is_singular
 
 
-@_prop("product", "spatial-embedding-dot", ("w1", "w2"))
+@_prop("product", "spatial-embedding-dot")
 def _(p, tol):
     w1, w2 = p.w1, p.w2
     dot = w1[0] * w2[0] + w1[1] * w2[1] + w1[2] * w2[2]
@@ -733,7 +732,7 @@ def _(p, tol):
     )
 
 
-@_prop("product", "real-vector-product-conjugation", ("realpv1", "realpv2"))
+@_prop("product", "real-vector-product-conjugation")
 def _(p, tol):
     right = vector_product(p.realpv1, p.realpv2, RIGHT)
     left = vector_product(p.realpv1, p.realpv2, LEFT)
@@ -744,7 +743,7 @@ def _(p, tol):
 # -- parallelism and perpendicularity -----------------------------------------
 
 
-@_prop("parallel", "parallel-iff-scalar-multiple", ("par1", "par2", "nonsing1", "nonsing2"))
+@_prop("parallel", "parallel-iff-scalar-multiple")
 def _(p, tol):
     if not is_parallel(p.par2, p.par1, tol):
         return False
@@ -760,7 +759,7 @@ def _(p, tol):
     return generic == recovered
 
 
-@_prop("parallel", "parallel-equivalence", ("par1", "par2", "mu"))
+@_prop("parallel", "parallel-equivalence")
 def _(p, tol):
     third = p.par2 * p.mu
     return (
@@ -771,24 +770,24 @@ def _(p, tol):
     )
 
 
-@_prop("parallel", "perpendicular-irreflexive", ("nonsing1",))
+@_prop("parallel", "perpendicular-irreflexive")
 def _(p, tol):
     return not is_perpendicular(p.nonsing1, p.nonsing1, tol)
 
 
-@_prop("parallel", "perpendicular-symmetric", ("perp1", "perp2"))
+@_prop("parallel", "perpendicular-symmetric")
 def _(p, tol):
     return is_perpendicular(p.perp1, p.perp2, tol) and is_perpendicular(
         p.perp2, p.perp1, tol
     )
 
 
-@_prop("parallel", "perpendicular-transport", ("perp1", "perp2", "mu"))
+@_prop("parallel", "perpendicular-transport")
 def _(p, tol):
     return is_perpendicular(p.perp1, p.perp2 * p.mu, tol)
 
 
-@_prop("parallel", "self-perpendicular-iff-singular", ("sing1", "nonsing1"))
+@_prop("parallel", "self-perpendicular-iff-singular")
 def _(p, tol):
     sc = component_scale(p.sing1)
     singular_side = _zero_c(scalar_product(p.sing1, p.sing1), tol, sc * sc)
@@ -797,7 +796,7 @@ def _(p, tol):
     return singular_side and nonsingular_side
 
 
-@_prop("parallel", "orthogonal-parallel-sign", ("proper1", "proper2"))
+@_prop("parallel", "orthogonal-parallel-sign")
 def _(p, tol):
     l1 = p.proper1.normalize(tol)
     l2 = p.proper2.normalize(tol)
@@ -808,34 +807,34 @@ def _(p, tol):
     return True
 
 
-@_prop("parallel", "conj-preserves-perpendicular", ("perp1", "perp2"))
+@_prop("parallel", "conj-preserves-perpendicular")
 def _(p, tol):
     return is_perpendicular(p.perp1.conj(), p.perp2.conj(), tol)
 
 
-@_prop("parallel", "conj-preserves-parallel", ("par1", "par2"))
+@_prop("parallel", "conj-preserves-parallel")
 def _(p, tol):
     return is_parallel(p.par1.conj(), p.par2.conj(), tol)
 
 
-@_prop("parallel", "vig-preserves-parallel", ("par1", "par2"))
+@_prop("parallel", "vig-preserves-parallel")
 def _(p, tol):
     return is_parallel(p.par1.vig(), p.par2.vig(), tol)
 
 
-@_prop("parallel", "parallel-implies-spatial", ("par1", "par2"))
+@_prop("parallel", "parallel-implies-spatial")
 def _(p, tol):
     return is_spatially_parallel(p.par1, p.par2, tol)
 
 
-@_prop("parallel", "spatial-without-parallel", ("sp_a", "sp_b"))
+@_prop("parallel", "spatial-without-parallel")
 def _(p, tol):
     return is_spatially_parallel(p.sp_a, p.sp_b, tol) and not is_parallel(
         p.sp_a, p.sp_b, tol
     )
 
 
-@_prop("parallel", "singular-parallel-family", ("sing1", "sing2", "lam"))
+@_prop("parallel", "singular-parallel-family")
 def _(p, tol):
     scaled = Paravector(
         p.sing1.s * p.lam,
@@ -851,20 +850,20 @@ def _(p, tol):
 # -- determinant metric laws ---------------------------------------------------
 
 
-@_prop("metric", "polarization-identity", ("a", "b"))
+@_prop("metric", "polarization-identity")
 def _(p, tol):
     lhs = (p.a + p.b).det()
     rhs = p.a.det() + 2.0 * scalar_product(p.a, p.b) + p.b.det()
     return _close_c(lhs, rhs, tol)
 
 
-@_prop("metric", "pythagorean", ("perp1", "perp2"))
+@_prop("metric", "pythagorean")
 def _(p, tol):
     lhs = (p.perp1 + p.perp2).det()
     return _close_c(lhs, p.perp1.det() + p.perp2.det(), tol)
 
 
-@_prop("metric", "parallelogram-law", ("a", "b"))
+@_prop("metric", "parallelogram-law")
 def _(p, tol):
     lhs = (p.a + p.b).det() + (p.a - p.b).det()
     return _close_c(lhs, 2.0 * p.a.det() + 2.0 * p.b.det(), tol)
@@ -873,7 +872,7 @@ def _(p, tol):
 # -- angles --------------------------------------------------------------------
 
 
-@_prop("angle", "angle-det-one", ("proper1", "proper2"))
+@_prop("angle", "angle-det-one")
 def _(p, tol):
     for o in (RIGHT, LEFT):
         d = angle(p.proper1, p.proper2, o, tol).value.det()
@@ -882,12 +881,12 @@ def _(p, tol):
     return True
 
 
-@_prop("angle", "angle-zero-self", ("proper1",))
+@_prop("angle", "angle-zero-self")
 def _(p, tol):
     return approx_eq(angle(p.proper1, p.proper1, RIGHT, tol).value, ONE, tol)
 
 
-@_prop("angle", "composition-rows", ("proper1", "proper2"))
+@_prop("angle", "composition-rows")
 def _(p, tol):
     f1 = angle(p.proper1, p.proper2, LEFT, tol)
     f2 = angle(p.proper2, p.proper1, LEFT, tol)
@@ -901,7 +900,7 @@ def _(p, tol):
     return _close_c(composed.cosinis, cosi, tol) and _close_v(composed.sinis, sini, tol)
 
 
-@_prop("angle", "doubling-rows", ("proper1", "proper2"))
+@_prop("angle", "doubling-rows")
 def _(p, tol):
     f = angle(p.proper1, p.proper2, LEFT, tol)
     doubled = compose_angles(f, f)
@@ -910,7 +909,7 @@ def _(p, tol):
     return _close_c(doubled.cosinis, cosi, tol) and _close_v(doubled.sinis, sini, tol)
 
 
-@_prop("angle", "explement-rows", ("proper1", "proper2"))
+@_prop("angle", "explement-rows")
 def _(p, tol):
     f = angle(p.proper1, p.proper2, LEFT, tol)
     e = explement(f)
@@ -921,7 +920,7 @@ def _(p, tol):
     )
 
 
-@_prop("angle", "explement-swaps-arguments", ("proper1", "proper2"))
+@_prop("angle", "explement-swaps-arguments")
 def _(p, tol):
     for o in (RIGHT, LEFT):
         e = explement(angle(p.proper1, p.proper2, o, tol))
@@ -930,13 +929,13 @@ def _(p, tol):
     return True
 
 
-@_prop("angle", "explement-involution", ("proper1", "proper2"))
+@_prop("angle", "explement-involution")
 def _(p, tol):
     f = angle(p.proper1, p.proper2, RIGHT, tol)
     return approx_eq(explement(explement(f)).value, f.value, tol)
 
 
-@_prop("angle", "compose-identity", ("proper1", "proper2"))
+@_prop("angle", "compose-identity")
 def _(p, tol):
     f = angle(p.proper1, p.proper2, LEFT, tol)
     return approx_eq(
@@ -944,7 +943,7 @@ def _(p, tol):
     )
 
 
-@_prop("angle", "trigonometric-character", ("w1", "w2"))
+@_prop("angle", "trigonometric-character")
 def _(p, tol):
     a = Paravector(0j, (1j * p.w1[0], 1j * p.w1[1], 1j * p.w1[2]))
     b = Paravector(0j, (1j * p.w2[0], 1j * p.w2[1], 1j * p.w2[2]))
@@ -960,7 +959,7 @@ def _(p, tol):
     return _close_c(c * c + m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 1.0, tol)
 
 
-@_prop("angle", "hyperbolic-character", ("hyp1", "hyp2"))
+@_prop("angle", "hyperbolic-character")
 def _(p, tol):
     f = angle(p.hyp1, p.hyp2, RIGHT, tol)
     sc = component_scale(f.value)
@@ -978,7 +977,7 @@ def _(p, tol):
 # -- rotations -----------------------------------------------------------------
 
 
-@_prop("rotation", "preserves-det-and-scalar", ("a", "proper1"))
+@_prop("rotation", "preserves-det-and-scalar")
 def _(p, tol):
     for o in (LEFT, RIGHT):
         g = rotate(p.a, p.axis1, o)
@@ -987,7 +986,7 @@ def _(p, tol):
     return True
 
 
-@_prop("rotation", "fixes-spatially-parallel", ("proper1", "tau", "mu"))
+@_prop("rotation", "fixes-spatially-parallel")
 def _(p, tol):
     axis_v = p.axis1.value.v
     g = Paravector(p.tau, (axis_v[0] * p.mu, axis_v[1] * p.mu, axis_v[2] * p.mu))
@@ -996,14 +995,14 @@ def _(p, tol):
     )
 
 
-@_prop("rotation", "matches-similarity", ("a", "proper1"))
+@_prop("rotation", "matches-similarity")
 def _(p, tol):
     return approx_eq(
         rotate(p.a, p.axis1, LEFT), similarity(p.a, p.axis1.value, tol), tol
     )
 
 
-@_prop("rotation", "parallel-axes-same-rotation", ("a", "proper1", "s_real"))
+@_prop("rotation", "parallel-axes-same-rotation")
 def _(p, tol):
     other = RotationAxis.from_paravector(p.proper1 * p.s_real, tol)
     return approx_eq(rotate(p.a, p.axis1, LEFT), rotate(p.a, other, LEFT), tol)
@@ -1020,33 +1019,33 @@ def _rodrigues(w, n, theta):
     return tuple(w[k] * c + cross[k] * s + n[k] * dot * (1.0 - c) for k in range(3))
 
 
-@_prop("rotation", "vector-matches-rodrigues", ("w1", "rot1"))
+@_prop("rotation", "vector-matches-rodrigues")
 def _(p, tol):
     got = rotate_vector(p.w1, p.rot1)
     want = _rodrigues(p.w1, p.rot1.n, 2.0 * p.rot1.phi)
     return _close_v(got, want, tol)
 
 
-@_prop("rotation", "vector-isometry", ("w1", "rot1"))
+@_prop("rotation", "vector-isometry")
 def _(p, tol):
     got = rotate_vector(p.w1, p.rot1)
     return _close_c(vnorm(got), vnorm(p.w1), tol)
 
 
-@_prop("rotation", "vector-fixes-axis", ("rot1", "s_real"))
+@_prop("rotation", "vector-fixes-axis")
 def _(p, tol):
     w = (p.s_real * p.rot1.n[0], p.s_real * p.rot1.n[1], p.s_real * p.rot1.n[2])
     return _close_v(rotate_vector(w, p.rot1), w, tol)
 
 
-@_prop("rotation", "euler-compose-sequential", ("w1", "rot1", "rot2"))
+@_prop("rotation", "euler-compose-sequential")
 def _(p, tol):
     sequential = rotate_vector(rotate_vector(p.w1, p.rot1), p.rot2)
     combined = rotate_vector(p.w1, euler_compose(p.rot1, p.rot2, tol))
     return _close_v(sequential, combined, tol)
 
 
-@_prop("rotation", "angle-decomposition", ("proper1", "proper2"))
+@_prop("rotation", "angle-decomposition")
 def _(p, tol):
     lam = p.axis2.value
     rotated = rotate(p.proper1, p.axis2, LEFT)
@@ -1058,12 +1057,12 @@ def _(p, tol):
     return approx_eq(lhs, rhs, tol)
 
 
-@_prop("rotation", "similarity-preserves-scalar", ("a", "nonsing1"))
+@_prop("rotation", "similarity-preserves-scalar")
 def _(p, tol):
     return _close_c(similarity(p.a, p.nonsing1, tol).s, p.a.s, tol)
 
 
-@_prop("rotation", "similarity-equivalence", ("a", "nonsing1", "nonsing2"))
+@_prop("rotation", "similarity-equivalence")
 def _(p, tol):
     there = similarity(p.a, p.nonsing1, tol)
     back = similarity(there, p.nonsing1.inverse(tol), tol)
@@ -1077,17 +1076,17 @@ def _(p, tol):
 # -- mirror and axial symmetry ---------------------------------------------
 
 
-@_prop("mirror", "mirror-involution", ("a", "om1"))
+@_prop("mirror", "mirror-involution")
 def _(p, tol):
     return approx_eq(mirror(mirror(p.a, p.om1, tol), p.om1, tol), p.a, tol)
 
 
-@_prop("mirror", "mirror-flips-scalar", ("a", "om1"))
+@_prop("mirror", "mirror-flips-scalar")
 def _(p, tol):
     return _close_c(mirror(p.a, p.om1, tol).s, -p.a.s, tol)
 
 
-@_prop("mirror", "mirror-real-formula", ("a", "w1"))
+@_prop("mirror", "mirror-real-formula")
 def _(p, tol):
     w = p.w1
     nw = vnorm(w)
@@ -1115,24 +1114,24 @@ def _(p, tol):
     return approx_eq(mirror(p.a, w, tol), expected, tol)
 
 
-@_prop("mirror", "mirror-composition-is-rotation", ("a", "om1", "om2"))
+@_prop("mirror", "mirror-composition-is-rotation")
 def _(p, tol):
     sequential = mirror(mirror(p.a, p.om1, tol), p.om2, tol)
     axis = compose_mirrors(p.om1, p.om2, tol)
     return approx_eq(sequential, rotate(p.a, axis, LEFT), tol)
 
 
-@_prop("mirror", "axial-involution", ("a", "om1"))
+@_prop("mirror", "axial-involution")
 def _(p, tol):
     return approx_eq(axial_symmetry(axial_symmetry(p.a, p.om1, tol), p.om1, tol), p.a, tol)
 
 
-@_prop("mirror", "axial-preserves-scalar", ("a", "om1"))
+@_prop("mirror", "axial-preserves-scalar")
 def _(p, tol):
     return _close_c(axial_symmetry(p.a, p.om1, tol).s, p.a.s, tol)
 
 
-@_prop("mirror", "axial-is-straight-rotation", ("a", "w1"))
+@_prop("mirror", "axial-is-straight-rotation")
 def _(p, tol):
     w = p.w1
     nw = vnorm(w)
@@ -1142,13 +1141,13 @@ def _(p, tol):
     return approx_eq(axial_symmetry(p.a, w, tol), rotate(p.a, axis, LEFT), tol)
 
 
-@_prop("mirror", "axial-fixes-parallel", ("tau", "om1", "mu"))
+@_prop("mirror", "axial-fixes-parallel")
 def _(p, tol):
     g = Paravector(p.tau, (p.om1[0] * p.mu, p.om1[1] * p.mu, p.om1[2] * p.mu))
     return approx_eq(axial_symmetry(g, p.om1, tol), g, tol)
 
 
-@_prop("mirror", "axial-real-formula", ("a", "w1"))
+@_prop("mirror", "axial-real-formula")
 def _(p, tol):
     w = p.w1
     nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
@@ -1168,39 +1167,39 @@ def _(p, tol):
 # -- matrix representations --------------------------------------------------
 
 
-@_prop("matrix", "mat4-multiplicative", ("a", "b"))
+@_prop("matrix", "mat4-multiplicative")
 def _(p, tol):
     lhs = matrices.to_matrix4(p.a * p.b)
     rhs = matrices.to_matrix4(p.a) @ matrices.to_matrix4(p.b)
     return lhs.approx_eq(rhs, tol)
 
 
-@_prop("matrix", "mat4-additive", ("a", "b"))
+@_prop("matrix", "mat4-additive")
 def _(p, tol):
     lhs = matrices.to_matrix4(p.a + p.b)
     rhs = matrices.to_matrix4(p.a) + matrices.to_matrix4(p.b)
     return lhs.approx_eq(rhs, tol)
 
 
-@_prop("matrix", "mat4-det-squares", ("a",))
+@_prop("matrix", "mat4-det-squares")
 def _(p, tol):
     d = p.a.det()
     return _close_c(matrices.to_matrix4(p.a).det(), d * d, tol)
 
 
-@_prop("matrix", "mat4-hermitian-conjugation", ("a",))
+@_prop("matrix", "mat4-hermitian-conjugation")
 def _(p, tol):
     lhs = matrices.to_matrix4(p.a.conj())
     return lhs.approx_eq(matrices.to_matrix4(p.a).conj_transpose(), tol)
 
 
-@_prop("matrix", "mat4-inverse", ("nonsing1",))
+@_prop("matrix", "mat4-inverse")
 def _(p, tol):
     lhs = matrices.to_matrix4(p.nonsing1.inverse(tol))
     return lhs.approx_eq(matrices.to_matrix4(p.nonsing1).inverse(), tol)
 
 
-@_prop("matrix", "mat4-reversion-pattern", ("a",))
+@_prop("matrix", "mat4-reversion-pattern")
 def _(p, tol):
     s = p.a.s
     x, y, z = p.a.v
@@ -1215,12 +1214,12 @@ def _(p, tol):
     return matrices.to_matrix4(p.a.rev()).approx_eq(expected, tol)
 
 
-@_prop("matrix", "mat4-roundtrip", ("a",))
+@_prop("matrix", "mat4-roundtrip")
 def _(p, tol):
     return approx_eq(matrices.from_matrix4(matrices.to_matrix4(p.a), tol), p.a, tol)
 
 
-@_prop("matrix", "mat4-singular-iff", ("sing1", "nonsing1"))
+@_prop("matrix", "mat4-singular-iff")
 def _(p, tol):
     sc = component_scale(p.sing1)
     singular_side = _zero_c(
@@ -1231,19 +1230,19 @@ def _(p, tol):
     return singular_side and nonsingular_side
 
 
-@_prop("matrix", "pauli-multiplicative", ("a", "b"))
+@_prop("matrix", "pauli-multiplicative")
 def _(p, tol):
     lhs = matrices.to_pauli(p.a * p.b)
     return lhs.approx_eq(matrices.to_pauli(p.a) @ matrices.to_pauli(p.b), tol)
 
 
-@_prop("matrix", "pauli-additive", ("a", "b"))
+@_prop("matrix", "pauli-additive")
 def _(p, tol):
     lhs = matrices.to_pauli(p.a + p.b)
     return lhs.approx_eq(matrices.to_pauli(p.a) + matrices.to_pauli(p.b), tol)
 
 
-@_prop("matrix", "pauli-det", ("a",))
+@_prop("matrix", "pauli-det")
 def _(p, tol):
     return _close_c(matrices.to_pauli(p.a).det(), p.a.det(), tol)
 
@@ -1251,7 +1250,7 @@ def _(p, tol):
 # -- orthogonal transformations ----------------------------------------------
 
 
-@_prop("orthogonal", "right-action-preserves-integrated", ("a", "b", "proper2"))
+@_prop("orthogonal", "right-action-preserves-integrated")
 def _(p, tol):
     lam = p.axis2.value
     lhs = integrated(p.a * lam, p.b * lam, RIGHT)
@@ -1261,19 +1260,19 @@ def _(p, tol):
     return approx_eq(lhs_left, integrated(p.a, p.b, LEFT), tol)
 
 
-@_prop("orthogonal", "vig-parallel-left-action", ("par1", "par2", "proper1"))
+@_prop("orthogonal", "vig-parallel-left-action")
 def _(p, tol):
     lam = p.axis1.value
     return is_parallel((lam * p.par1).vig(), (lam * p.par2).vig(), tol)
 
 
-@_prop("orthogonal", "vig-parallel-right-action", ("par1", "par2", "proper1"))
+@_prop("orthogonal", "vig-parallel-right-action")
 def _(p, tol):
     lam = p.axis1.value
     return is_parallel((p.par1 * lam).vig(), (p.par2 * lam).vig(), tol)
 
 
-@_prop("orthogonal", "right-action-star-scalar", ("a", "b", "proper2"))
+@_prop("orthogonal", "right-action-star-scalar")
 def _(p, tol):
     lam = p.axis2.value
     a2, b2 = p.a * lam, p.b * lam
@@ -1282,7 +1281,7 @@ def _(p, tol):
     return _close_c(lhs, rhs, tol)
 
 
-@_prop("orthogonal", "left-action-vig-scalar", ("a", "b", "proper2"))
+@_prop("orthogonal", "left-action-vig-scalar")
 def _(p, tol):
     lam = p.axis2.value
     a2, b2 = lam * p.a, lam * p.b
@@ -1291,7 +1290,7 @@ def _(p, tol):
     return _close_c(lhs, rhs, tol)
 
 
-@_prop("orthogonal", "sphere-invariance", ("sphere", "proper1"))
+@_prop("orthogonal", "sphere-invariance")
 def _(p, tol):
     lam = p.axis1.value
     sc = component_scale(lam, p.sphere)
@@ -1301,7 +1300,7 @@ def _(p, tol):
     )
 
 
-@_prop("orthogonal", "det-one-detector", ("proper1", "nonsing1"))
+@_prop("orthogonal", "det-one-detector")
 def _(p, tol):
     if not is_orthogonal_transform(p.axis1.value, tol):
         return False
@@ -1385,8 +1384,6 @@ def _wire_value(x):
         return to_wire(x)
     if isinstance(x, RotationAxis):
         return to_wire(x.value)
-    if isinstance(x, Angle):
-        return to_wire(x.value)
     if isinstance(x, SpatialRotation):
         return [x.n[0], x.n[1], x.n[2], x.phi]
     if isinstance(x, complex):
@@ -1396,7 +1393,20 @@ def _wire_value(x):
     if isinstance(x, (tuple, list)):
         zs = [complex(z) for z in x]
         return [z.real for z in zs] + [z.imag for z in zs]
-    return str(x)
+
+
+class _Recording:
+    """A pack view that records, in reading order, each family a check reads."""
+
+    def __init__(self, pack):
+        self._pack = pack
+        self.inputs = {}
+
+    def __getattr__(self, name):
+        value = getattr(self._pack, name)
+        if name not in self.inputs:
+            self.inputs[name] = _wire_value(value)
+        return value
 
 
 @dataclass
@@ -1405,14 +1415,6 @@ class PropertyResult:
     passes: int
     fails: int
     counterexample: dict | None
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passes": self.passes,
-            "fails": self.fails,
-            "counterexample": self.counterexample,
-        }
 
 
 @dataclass
@@ -1443,7 +1445,7 @@ class FuzzReport:
             "trials": self.trials,
             "tol": {"abs": self.tol.abs, "rel": self.tol.rel},
             "mutant": self.mutant,
-            "properties": [r.to_dict() for r in self.properties],
+            "properties": [asdict(r) for r in self.properties],
             "failed_properties": self.failed_properties,
             "total_failures": self.total_failures,
         }
@@ -1504,13 +1506,10 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                 else:
                     fails[j] += 1
                     if counterexamples[j] is None:
-                        inputs = {}
-                        for name in prop.inputs:
-                            try:
-                                inputs[name] = _wire_value(getattr(pack, name))
-                            except Exception as exc:
-                                inputs[name] = f"<unavailable: {exc!r}>"
-                        ce = {"trial": i, "inputs": inputs}
+                        view = _Recording(pack)
+                        with suppress(Exception):
+                            prop.check(view, tol)
+                        ce = {"trial": i, "inputs": view.inputs}
                         if error is not None:
                             ce["error"] = error
                         counterexamples[j] = ce

@@ -34,7 +34,13 @@ from .errors import (
     OrientationMismatch,
     SingularParavector,
 )
-from .products import Orientation, integrated, scalar_product, vector_product
+from .products import (
+    _BAD_ORIENTATION,
+    Orientation,
+    integrated,
+    scalar_product,
+    vector_product,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +51,8 @@ class Angle:
     orientation: Orientation
 
     def __post_init__(self):
+        if not isinstance(self.orientation, Orientation):
+            raise TypeError(_BAD_ORIENTATION)
         if not is_orthogonal_transform(self.value):
             raise InvariantViolation("an angle paravector must have determinant one")
 

@@ -21,13 +21,16 @@ class Orientation(Enum):
     LEFT = "left"
 
 
+_BAD_ORIENTATION = "orientation must be Orientation.RIGHT or Orientation.LEFT"
+
+
 def integrated(a, b, orientation=Orientation.RIGHT):
     """Oriented integrated product of two paravectors."""
     if orientation is Orientation.RIGHT:
         return core.mul(a, b.rev())
     if orientation is Orientation.LEFT:
         return core.mul(a.rev(), b)
-    raise TypeError("orientation must be Orientation.RIGHT or Orientation.LEFT")
+    raise TypeError(_BAD_ORIENTATION)
 
 
 def scalar_product(a, b):

@@ -33,8 +33,9 @@ from .errors import (
     DegenerateComposition,
     ImproperParavector,
     IsotropicNormal,
+    ValidationError,
 )
-from .products import Orientation
+from .products import _BAD_ORIENTATION, Orientation
 
 _PARAMETERS = "rotation parameters"
 
@@ -76,6 +77,8 @@ class SpatialRotation:
 
     def __post_init__(self):
         n, phi = _as_rvector(self.n, _PARAMETERS), _as_real(self.phi, _PARAMETERS)
+        if not isinstance(self.axis_defined, bool):
+            raise ValidationError("axis_defined must be True or False")
         norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
         if abs(norm - 1.0) > DEFAULT_TOL.linear(1.0):
             raise BadUnitVector("axis vector must have unit length")
@@ -84,12 +87,19 @@ class SpatialRotation:
 
     @classmethod
     def about(cls, axis, phi):
-        """Build a rotation about any non-tiny real vector, normalizing it."""
+        """Build a rotation about any real vector of length 1e-12 or more.
+
+        The axis is scaled by ``2**-e`` before its norm is taken, so the
+        norm cannot overflow; power-of-two scaling is exact, so the unit
+        vector is the one the unscaled axis gives wherever its norm is finite.
+        """
         a = _as_rvector(axis, _PARAMETERS)
-        norm = math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-        if not math.isfinite(norm) or norm < 1e-12:
+        e = math.frexp(max(abs(a[0]), abs(a[1]), abs(a[2])))[1]
+        x, y, z = math.ldexp(a[0], -e), math.ldexp(a[1], -e), math.ldexp(a[2], -e)
+        norm = math.sqrt(x * x + y * y + z * z)
+        if math.ldexp(norm, min(e, 0)) < 1e-12:
             raise BadUnitVector("axis vector must be nonzero")
-        return cls((a[0] / norm, a[1] / norm, a[2] / norm), phi)
+        return cls((x / norm, y / norm, z / norm), phi)
 
 
 def similarity(g, f, tol=DEFAULT_TOL):
@@ -111,7 +121,7 @@ def rotate(g, axis, orientation=Orientation.LEFT):
         return (lam.rev() * g) * lam
     if orientation is Orientation.RIGHT:
         return (lam * g) * lam.rev()
-    raise TypeError("orientation must be Orientation.RIGHT or Orientation.LEFT")
+    raise TypeError(_BAD_ORIENTATION)
 
 
 def spatial_axis(rotation):

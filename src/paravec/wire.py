@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import Paravector
+from .core import Paravector, _as_real
 from .errors import ArityError, ParseError
 
 
@@ -45,10 +45,14 @@ def load_number_array(text):
 
 
 def from_wire(numbers):
-    """Build a paravector from the eight wire components."""
-    if len(numbers) != 8:
-        raise ArityError(f"expected 8 numbers, got {len(numbers)}")
-    a, d, bx, by, bz, cx, cy, cz = (float(n) for n in numbers)
+    """Build a paravector from the eight wire components (finite reals)."""
+    try:
+        count = len(numbers)
+    except TypeError:
+        raise ArityError(f"expected 8 numbers, not {type(numbers).__name__}") from None
+    if count != 8:
+        raise ArityError(f"expected 8 numbers, got {count}")
+    a, d, bx, by, bz, cx, cy, cz = (_as_real(n, "wire components") for n in numbers)
     return Paravector(complex(a, d), (complex(bx, cx), complex(by, cy), complex(bz, cz)))
 
 

@@ -7,8 +7,31 @@ from pathlib import Path
 
 import pytest
 
-from paravec import SUITES, Paravector, SplitMix64, run_fuzz
-from paravec.fuzz import MUTANTS, make_pack, mix64, trial_seed
+from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, run_fuzz
+from paravec.fuzz import (
+    _PROPS,
+    MUTANTS,
+    _mutated,
+    _Recording,
+    _wire_value,
+    make_pack,
+    mix64,
+    trial_seed,
+)
+
+
+class _ReadLog:
+    """A pack view that lists, in order of first read, the families read."""
+
+    def __init__(self, pack):
+        self.pack = pack
+        self.names = []
+
+    def __getattr__(self, name):
+        value = getattr(self.pack, name)
+        if name not in self.names:
+            self.names.append(name)
+        return value
 
 
 class TestSplitMix64:
@@ -107,6 +130,34 @@ class TestRunFuzz:
         assert failing
         ce = failing[0].counterexample
         assert ce is not None and "trial" in ce and "inputs" in ce
+        checks = {prop.full_name: prop.check for prop in _PROPS}
+        for mutant in MUTANTS:
+            report = run_fuzz(seed=42, trials=50, mutant=mutant)
+            failing = [p for p in report.properties if p.fails]
+            assert failing
+            with _mutated(mutant):
+                for result in failing:
+                    ce = result.counterexample
+                    pack = _ReadLog(make_pack(42, ce["trial"]))
+                    try:
+                        ok = checks[result.name](pack, DEFAULT_TOL)
+                    except Exception:
+                        ok = False
+                    assert not ok, result.name
+                    assert list(ce["inputs"]) == pack.names, result.name
+                    for name, value in ce["inputs"].items():
+                        assert value == _wire_value(getattr(pack.pack, name))
+            if mutant == "rev-sign":
+                # this check returns at its first is_parallel, before reading lam
+                by_name = {p.name: p for p in report.properties}
+                ce = by_name["parallel/parallel-iff-scalar-multiple"].counterexample
+                assert list(ce["inputs"]) == ["par2", "par1"]
+        assert all(p.counterexample is None for p in run_fuzz(seed=42, trials=50).properties)
+        # a check that runs to the end lists every family it reads, lam included
+        view = _Recording(make_pack(42, 0))
+        assert checks["parallel/parallel-iff-scalar-multiple"](view, DEFAULT_TOL)
+        assert list(view.inputs) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
+        assert view.inputs["lam"] == _wire_value(view.lam)
 
 
 def test_import_paravec_loads_the_fuzz_engine_on_first_use():
@@ -149,3 +200,23 @@ def test_cli_loads_the_fuzz_engine_only_for_the_fuzz_command():
     )
     assert out.returncode == 3, out.stderr
     assert "FAIL" in out.stdout
+
+
+def test_the_package_loads_only_the_standard_library():
+    # -S: the site hooks would load third-party modules of their own
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import paravec, paravec.cli, paravec.fuzz\n"
+        "assert paravec.fuzz.run_fuzz(1, 1).failed_properties == 0\n"
+        "assert paravec.cli.main(['det', '[1,1,1,0,0,0,0,0]']) == 0\n"
+        "loaded = {name.split('.')[0] for name in sys.modules}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'paravec', '__main__'}))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[-1.0,2.0]", "[]"]

@@ -5,6 +5,7 @@ error or a silently truncated result), and ``Angle``, ``RotationAxis`` and
 ``SpatialRotation`` test their invariants against ``DEFAULT_TOL``.
 """
 
+import cmath
 import math
 
 import pytest
@@ -12,7 +13,9 @@ import pytest
 import paravec
 from paravec import (
     DEFAULT_TOL,
+    ONE,
     Angle,
+    ArityError,
     BadUnitVector,
     ImproperParavector,
     InvariantViolation,
@@ -23,13 +26,16 @@ from paravec import (
     RotationAxis,
     SpatialRotation,
     Tolerance,
+    ValidationError,
     angle,
     axial_symmetry,
+    classify,
     compose_mirrors,
     mirror,
     rotate_vector,
 )
 from paravec import core, transforms
+from paravec.wire import from_wire
 
 ROT = SpatialRotation((0, 0, 1), 0.3)
 RIGHT = Orientation.RIGHT
@@ -143,3 +149,67 @@ def test_internally_built_axes_have_determinant_one():
         assert type(axis) is RotationAxis
         assert paravec.is_orthogonal_transform(axis.value)
         assert RotationAxis(axis.value) == axis
+
+
+@pytest.mark.parametrize(
+    "numbers, error",
+    [
+        (["x"] + [0] * 7, ValidationError),
+        ([1j] + [0] * 7, ValidationError),
+        ([10**400] + [0] * 7, ValidationError),
+        (5, ArityError),
+    ],
+    ids=["text", "complex", "huge-int", "not-a-sequence"],
+)
+def test_from_wire_rejects_malformed_library_input(numbers, error):
+    with pytest.raises(error):
+        from_wire(numbers)
+
+
+def test_proper_means_what_normalize_and_angle_accept():
+    # det = 0.9e-9 + 0.9e-9i: real and positive to tolerance, yet its real
+    # part is below the threshold, so normalize and angle reject it
+    p = Paravector(cmath.sqrt(0.9e-9 + 0.9e-9j), (0, 0, 0))
+    assert not classify(p).is_proper and not classify(p).is_singular
+    for call in (p.normalize, lambda: angle(p, ONE), lambda: RotationAxis.from_paravector(p)):
+        with pytest.raises(ImproperParavector):
+            call()
+
+
+def test_module_is_defined_on_proper_or_singular_only():
+    q = Paravector(cmath.sqrt(-0.9e-9 + 0.9e-9j), (0, 0, 0))
+    assert not classify(q).is_proper and not classify(q).is_singular
+    with pytest.raises(ImproperParavector):
+        q.module()
+    assert Paravector(1, (1, 0, 0)).module() == 0.0
+    assert Paravector(2, (0, 0, 0)).module() == 2.0
+
+
+def test_angle_orientation_must_be_an_orientation():
+    with pytest.raises(TypeError, match="Orientation.RIGHT or Orientation.LEFT"):
+        Angle(ONE, "sideways")
+
+
+def test_axis_defined_must_be_a_bool():
+    with pytest.raises(ValidationError, match="axis_defined"):
+        SpatialRotation((0, 0, 1), 0.3, axis_defined="no")
+    assert not SpatialRotation((0, 0, 1), 0.0, axis_defined=False).axis_defined
+
+
+@pytest.mark.parametrize("scale", [1e200, 2.0**1000, 1.7e308])
+def test_about_accepts_a_large_finite_axis(scale):
+    for phi in (0.3, 2.5):
+        assert SpatialRotation.about((scale, 0, 0), phi) == SpatialRotation.about((1, 0, 0), phi)
+    n = SpatialRotation.about((scale, scale, -scale), 0.3).n
+    assert all(abs(x - y) <= 1e-15 for x, y in zip(n, SpatialRotation.about((1, 1, -1), 0.3).n))
+
+
+def test_about_scaling_leaves_moderate_axes_bit_identical():
+    # the unit vector the unscaled norm gives wherever that norm is finite
+    for axis in [(1, 2, -1), (3e-5, 1e-6, 0), (1e150, -2e149, 7e148), (1e-12, 0, 0)]:
+        norm = math.sqrt(sum(c * c for c in axis))
+        want = SpatialRotation(tuple(c / norm for c in axis), 0.3)
+        assert SpatialRotation.about(axis, 0.3) == want
+    for tiny in [(0, 0, 0), (9e-13, 0, 0), (1e-320, 0, 0)]:
+        with pytest.raises(BadUnitVector, match="nonzero"):
+            SpatialRotation.about(tiny, 0.3)
