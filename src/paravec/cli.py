@@ -1,10 +1,8 @@
 """The ``pv`` command line tool.
 
-Paravectors travel as JSON arrays of eight reals in the order
-``[a, d, bx, by, bz, cx, cy, cz]`` (scalar ``a+id``, vector ``b+ic``);
-vectors as arrays of three reals or six reals (three real parts followed
-by three imaginary parts); spatial rotations as ``[nx, ny, nz, phi]``.
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+Operands and results travel as JSON arrays in the wire form of
+``paravec.wire.to_wire``; a vector operand may also omit its imaginary
+parts.  Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain error (singular, improper, isotropic, ...), 2 usage or parse
 error, 3 fuzz campaign found a counterexample.  ``--tol`` (or the
 ``PV_TOL`` environment variable) sets both halves of the tolerance pair.
@@ -23,7 +21,7 @@ from .geometry import Angle, angle, compose_angles
 from .matrices import format_matrix, to_matrix4, to_pauli
 from .products import Orientation, scalar_product, vector_product
 from .transforms import RotationAxis, SpatialRotation, axial_symmetry, euler_compose, mirror, rotate
-from .wire import load_number_array, parse_paravector, serialize_numbers, serialize_paravector
+from .wire import load_number_array, parse_paravector, serialize_numbers, to_wire
 
 
 class _UsageError(Exception):
@@ -42,13 +40,9 @@ def _text(value):
 def _parse_vector(text):
     numbers = load_number_array(text)
     if len(numbers) == 3:
-        return (complex(numbers[0]), complex(numbers[1]), complex(numbers[2]))
+        return tuple(map(complex, numbers))
     if len(numbers) == 6:
-        return (
-            complex(numbers[0], numbers[3]),
-            complex(numbers[1], numbers[4]),
-            complex(numbers[2], numbers[5]),
-        )
+        return tuple(map(complex, numbers[:3], numbers[3:]))
     raise ArityError(f"expected 3 or 6 numbers for a vector, got {len(numbers)}")
 
 
@@ -63,12 +57,8 @@ def _compact(value):
     return json.dumps(value, separators=(",", ":"))
 
 
-def _emit_complex(z):
-    return serialize_numbers([z.real, z.imag])
-
-
-def _emit_vector(v):
-    return serialize_numbers([v[0].real, v[1].real, v[2].real, v[0].imag, v[1].imag, v[2].imag])
+def _wire(x):
+    return serialize_numbers(to_wire(x))
 
 
 def _emit_classification(c, as_json):
@@ -89,7 +79,7 @@ def _emit_classification(c, as_json):
 def _emit_rotation(r, as_json):
     if as_json:
         return _compact({"n": list(r.n), "phi": r.phi, "axis_defined": r.axis_defined})
-    return serialize_numbers([r.n[0], r.n[1], r.n[2], r.phi])
+    return _wire(r)
 
 
 def _emit_matrix(m, as_json):
@@ -108,37 +98,36 @@ _OPERANDS = {
     "R2": _ROTATION,
 }
 _RIGHT, _LEFT = Orientation.RIGHT, Orientation.LEFT
-_PV = serialize_paravector
 
 # name: (help, operands, orientation default or None, takes --json,
 #        function of the parsed operands [, orientation] and tol, emitter)
 _COMMANDS = {
-    "add": ("sum of two paravectors", "A B", None, False, lambda a, b, tol: a + b, _PV),
-    "mul": ("product of two paravectors", "A B", None, False, lambda a, b, tol: a * b, _PV),
-    "rev": ("reversion (negated vector part)", "A", None, False, lambda a, tol: a.rev(), _PV),
+    "add": ("sum of two paravectors", "A B", None, False, lambda a, b, tol: a + b, _wire),
+    "mul": ("product of two paravectors", "A B", None, False, lambda a, b, tol: a * b, _wire),
+    "rev": ("reversion (negated vector part)", "A", None, False, lambda a, tol: a.rev(), _wire),
     "conj": ("conjugation (conjugated components)", "A", None, False,
-             lambda a, tol: a.conj(), _PV),
-    "vig": ("product with own conjugate", "A", None, False, lambda a, tol: a.vig(), _PV),
-    "det": ("determinant as [re,im]", "A", None, False, lambda a, tol: a.det(), _emit_complex),
-    "inv": ("multiplicative inverse", "A", None, False, Paravector.inverse, _PV),
+             lambda a, tol: a.conj(), _wire),
+    "vig": ("product with own conjugate", "A", None, False, lambda a, tol: a.vig(), _wire),
+    "det": ("determinant as [re,im]", "A", None, False, lambda a, tol: a.det(), _wire),
+    "inv": ("multiplicative inverse", "A", None, False, Paravector.inverse, _wire),
     "module": ("square root of a real nonnegative determinant", "A", None, False,
                Paravector.module, json.dumps),
-    "normalize": ("rescale to determinant one", "A", None, False, Paravector.normalize, _PV),
+    "normalize": ("rescale to determinant one", "A", None, False, Paravector.normalize, _wire),
     "classify": ("proper/singular/orthogonal/special/unitar flags", "A", None, True,
                  classify, _emit_classification),
     "sprod": ("scalar product as [re,im]", "A B", None, False,
-              lambda a, b, tol: scalar_product(a, b), _emit_complex),
+              lambda a, b, tol: scalar_product(a, b), _wire),
     "vprod": ("oriented vector product", "A B", _RIGHT, False,
-              lambda a, b, o, tol: vector_product(a, b, o), _emit_vector),
+              lambda a, b, o, tol: vector_product(a, b, o), _wire),
     "angle": ("oriented angle between proper paravectors", "A B", _RIGHT, False,
-              lambda a, b, o, tol: angle(a, b, o, tol).value, _PV),
+              lambda a, b, o, tol: angle(a, b, o, tol).value, _wire),
     "compose-angle": ("product of two same-oriented angles", "P Q", _RIGHT, False,
-                      lambda p, q, o, tol: compose_angles(Angle(p, o), Angle(q, o)).value, _PV),
+                      lambda p, q, o, tol: compose_angles(Angle(p, o), Angle(q, o)).value, _wire),
     "rotate": ("rotate G by the normalized axis paravector", "G AXIS", _LEFT, False,
                lambda g, axis, o, tol: rotate(g, RotationAxis.from_paravector(axis, tol), o),
-               _PV),
-    "mirror": ("mirror symmetry with normal W", "G W", None, False, mirror, _PV),
-    "axial": ("straight-angle rotation around W", "G W", None, False, axial_symmetry, _PV),
+               _wire),
+    "mirror": ("mirror symmetry with normal W", "G W", None, False, mirror, _wire),
+    "axial": ("straight-angle rotation around W", "G W", None, False, axial_symmetry, _wire),
     "euler": ("compose two spatial rotations", "R1 R2", None, True, euler_compose, _emit_rotation),
     "matrep": ("4x4 matrix representation", "A", None, True,
                lambda a, tol: to_matrix4(a), _emit_matrix),

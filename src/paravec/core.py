@@ -29,6 +29,8 @@ _COMPONENTS = "paravector components"
 def _as_complex(z, what="numbers"):
     """``z`` as a finite complex number, else :class:`ValidationError` naming ``what``."""
     try:
+        if isinstance(z, str):  # complex() would parse numeric text
+            raise TypeError
         z = complex(z)
     except OverflowError:  # an integer beyond the float range
         raise ValidationError(f"{what} must be finite") from None
@@ -195,8 +197,8 @@ class Paravector:
         Raises :class:`SingularParavector` when the determinant is zero
         to tolerance.
         """
-        d = self.det()
-        if abs(d) <= tol.quadratic(_pv_scale(self)):
+        d, _, singular, _ = _det_verdict(self, tol)
+        if singular:
             raise SingularParavector("singular paravector has no inverse")
         return self.rev() * (1.0 / d)
 
@@ -206,9 +208,8 @@ class Paravector:
         Defined on proper or singular paravectors only (as ``classify``
         decides them); raises :class:`ImproperParavector` otherwise.
         """
-        d = self.det()
-        thr = tol.quadratic(_pv_scale(self))
-        if abs(d) > thr and (abs(d.imag) > thr or d.real <= thr):
+        d, _, singular, proper = _det_verdict(self, tol)
+        if not (singular or proper):
             raise ImproperParavector("module needs a real nonnegative determinant")
         return math.sqrt(d.real) if d.real > 0.0 else 0.0
 
@@ -218,9 +219,8 @@ class Paravector:
         Requires a proper paravector; singular input is an error since no
         determinant-one rescaling exists for it.
         """
-        d = self.det()
-        thr = tol.quadratic(_pv_scale(self))
-        if abs(d.imag) > thr or d.real <= thr:
+        d, _, _, proper = _det_verdict(self, tol)
+        if not proper:
             raise ImproperParavector("only a proper paravector can be normalized")
         return self * (1.0 / math.sqrt(d.real))
 
@@ -357,11 +357,8 @@ class Classification:
 
 def classify(p, tol=DEFAULT_TOL):
     """Evaluate the proper/singular/orthogonal/special/unitar flags."""
-    d = p.det()
-    sc = _pv_scale(p)
+    d, sc, singular, proper = _det_verdict(p, tol)
     qthr = tol.quadratic(sc)
-    singular = abs(d) <= qthr
-    proper = abs(d.imag) <= qthr and d.real > qthr
     orthogonal = proper and abs(d - 1.0) <= qthr
     lthr = tol.linear(sc)
     v = p.v
@@ -388,7 +385,19 @@ def is_orthogonal_transform(p, tol=DEFAULT_TOL):
     Such paravectors preserve scalar products and determinants."""
     if not isinstance(p, Paravector):
         raise ValidationError(f"expected a Paravector, not {type(p).__name__}")
-    return abs(p.det() - 1.0) <= tol.quadratic(_pv_scale(p))
+    d, sc, _, _ = _det_verdict(p, tol)
+    return abs(d - 1.0) <= tol.quadratic(sc)
+
+
+def _det_verdict(p, tol):
+    """``(det, scale, singular, proper)``: the one definition of both verdicts.
+
+    With ``thr = tol.quadratic(scale)``, singular is ``|det| <= thr`` and
+    proper is ``|Im det| <= thr and Re det > thr``."""
+    d = p.det()
+    sc = _pv_scale(p)
+    thr = tol.quadratic(sc)
+    return d, sc, abs(d) <= thr, abs(d.imag) <= thr and d.real > thr
 
 
 def _pv_scale(p):

@@ -1379,22 +1379,6 @@ def _mutated(name):
 # ---------------------------------------------------------------------------
 
 
-def _wire_value(x):
-    if isinstance(x, Paravector):
-        return to_wire(x)
-    if isinstance(x, RotationAxis):
-        return to_wire(x.value)
-    if isinstance(x, SpatialRotation):
-        return [x.n[0], x.n[1], x.n[2], x.phi]
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, (tuple, list)):
-        zs = [complex(z) for z in x]
-        return [z.real for z in zs] + [z.imag for z in zs]
-
-
 class _Recording:
     """A pack view that records, in reading order, each family a check reads."""
 
@@ -1405,7 +1389,7 @@ class _Recording:
     def __getattr__(self, name):
         value = getattr(self._pack, name)
         if name not in self.inputs:
-            self.inputs[name] = _wire_value(value)
+            self.inputs[name] = to_wire(value)
         return value
 
 

@@ -22,8 +22,8 @@ from .core import (
     DEFAULT_TOL,
     ONE,
     Paravector,
+    _det_verdict,
     component_norm,
-    component_scale,
     is_orthogonal_transform,
     vcross,
     vnorm,
@@ -73,7 +73,8 @@ class Angle:
 
 
 def _require_nonsingular(p, tol):
-    if abs(p.det()) <= tol.quadratic(component_scale(p)):
+    _, _, singular, _ = _det_verdict(p, tol)
+    if singular:
         raise SingularParavector("operation requires non-singular paravectors")
 
 
@@ -137,9 +138,8 @@ def _proper_root(p, tol):
     real, and it also divides out the imaginary part that ``tol`` lets
     through, so an angle built from it has determinant one.
     """
-    d = p.det()
-    thr = tol.quadratic(component_scale(p))
-    if abs(d.imag) > thr or d.real <= thr:
+    d, _, _, proper = _det_verdict(p, tol)
+    if not proper:
         raise ImproperParavector("angles are defined between proper paravectors only")
     return cmath.sqrt(d)
 

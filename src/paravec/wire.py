@@ -1,10 +1,10 @@
-"""Flat JSON wire format for paravectors.
+"""Flat JSON wire format for paravectors and the other ``pv`` values.
 
 A paravector travels as a JSON array of eight decimal reals in the fixed
 order ``[a, d, bx, by, bz, cx, cy, cz]``: the scalar is ``a + i d`` and
-the vector is ``(bx + i cx, by + i cy, bz + i cz)``.  Serialization uses
-Python's shortest round-trip float formatting, so parse/serialize
-round-trips are bit exact.
+the vector is ``(bx + i cx, by + i cy, bz + i cz)``; ``to_wire`` gives the
+form of the others.  Serialization uses Python's shortest round-trip
+float formatting, so parse/serialize round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 
-from .core import Paravector, _as_real
+from .core import Paravector, _as_cvector, _as_real
 from .errors import ArityError, ParseError
+from .transforms import RotationAxis, SpatialRotation
 
 
 def _reject_constant(token):
@@ -56,19 +57,24 @@ def from_wire(numbers):
     return Paravector(complex(a, d), (complex(bx, cx), complex(by, cy), complex(bz, cz)))
 
 
-def to_wire(p):
-    """Eight wire components of a paravector."""
-    v = p.v
-    return [
-        p.s.real,
-        p.s.imag,
-        v[0].real,
-        v[1].real,
-        v[2].real,
-        v[0].imag,
-        v[1].imag,
-        v[2].imag,
-    ]
+def to_wire(x):
+    """Wire form of a ``pv`` value: the eight components of a paravector or
+    ``RotationAxis``, ``[re, im]`` of a complex number, the real then the
+    imaginary parts of a 3-vector, ``[nx, ny, nz, phi]`` of a
+    ``SpatialRotation``, and a real number as a float."""
+    if isinstance(x, Paravector):
+        s, (u, v, w) = x.s, x.v
+        return [s.real, s.imag, u.real, v.real, w.real, u.imag, v.imag, w.imag]
+    if isinstance(x, RotationAxis):
+        return to_wire(x.value)
+    if isinstance(x, SpatialRotation):
+        return [*x.n, x.phi]
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    if isinstance(x, (int, float)):
+        return float(x)
+    u, v, w = _as_cvector(x)
+    return [u.real, v.real, w.real, u.imag, v.imag, w.imag]
 
 
 def parse_paravector(text):

@@ -4,6 +4,7 @@ import cmath
 
 from hypothesis import assume, strategies as st
 
+from _oracles import det_components
 from paravec import Paravector
 from paravec.wire import from_wire
 
@@ -18,16 +19,14 @@ def paravectors(draw):
 @st.composite
 def nonsingular_paravectors(draw, min_det=0.05):
     p = draw(paravectors())
-    d = p.s * p.s - (p.v[0] ** 2 + p.v[1] ** 2 + p.v[2] ** 2)
-    assume(abs(d) > min_det)
+    assume(abs(det_components(p)) > min_det)
     return p
 
 
 @st.composite
 def proper_paravectors(draw, min_det=0.05):
     p = draw(nonsingular_paravectors(min_det=min_det))
-    d = p.s * p.s - (p.v[0] ** 2 + p.v[1] ** 2 + p.v[2] ** 2)
-    phase = cmath.exp(-0.5j * cmath.phase(d))
+    phase = cmath.exp(-0.5j * cmath.phase(det_components(p)))
     v = p.v
     return Paravector(p.s * phase, (v[0] * phase, v[1] * phase, v[2] * phase))
 

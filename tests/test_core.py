@@ -81,6 +81,7 @@ class TestAddition:
     def test_scalar_coercion(self):
         assert pv(1, (1, 0, 0)) + 2 == pv(3, (1, 0, 0))
         assert 2 + pv(1, (1, 0, 0)) == pv(3, (1, 0, 0))
+        assert 2 - pv(1, (1, 0, 0)) == pv(1, (-1, 0, 0))
 
 
 class TestMultiplication:

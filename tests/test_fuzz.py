@@ -13,11 +13,11 @@ from paravec.fuzz import (
     MUTANTS,
     _mutated,
     _Recording,
-    _wire_value,
     make_pack,
     mix64,
     trial_seed,
 )
+from paravec.wire import to_wire
 
 
 class _ReadLog:
@@ -146,7 +146,7 @@ class TestRunFuzz:
                     assert not ok, result.name
                     assert list(ce["inputs"]) == pack.names, result.name
                     for name, value in ce["inputs"].items():
-                        assert value == _wire_value(getattr(pack.pack, name))
+                        assert value == to_wire(getattr(pack.pack, name))
             if mutant == "rev-sign":
                 # this check returns at its first is_parallel, before reading lam
                 by_name = {p.name: p for p in report.properties}
@@ -157,7 +157,7 @@ class TestRunFuzz:
         view = _Recording(make_pack(42, 0))
         assert checks["parallel/parallel-iff-scalar-multiple"](view, DEFAULT_TOL)
         assert list(view.inputs) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
-        assert view.inputs["lam"] == _wire_value(view.lam)
+        assert view.inputs["lam"] == to_wire(view.lam)
 
 
 def test_import_paravec_loads_the_fuzz_engine_on_first_use():

@@ -5,9 +5,11 @@ import math
 import pytest
 from hypothesis import given
 
+from _oracles import det_components
 from _strategies import components, paravectors, proper_paravectors
 from paravec import (
     ONE,
+    ZERO,
     Angle,
     ImproperParavector,
     Orientation,
@@ -43,6 +45,8 @@ class TestParallel:
     def test_singular_operand_raises(self):
         with pytest.raises(SingularParavector):
             is_parallel(Paravector(1, (1, 0, 0)), ONE)
+        with pytest.raises(SingularParavector):
+            parallel_ratio(ONE, ZERO)
 
     def test_ratio_recovery(self):
         g = Paravector(2, (1, 1j, 0))
@@ -51,7 +55,7 @@ class TestParallel:
 
     @given(paravectors(), components, components)
     def test_scalar_multiples_are_parallel_both_ways(self, g, re, im):
-        d = g.s * g.s - (g.v[0] ** 2 + g.v[1] ** 2 + g.v[2] ** 2)
+        d = det_components(g)
         lam = complex(re, im)
         if abs(d) < 0.05 or abs(lam) < 0.1:
             return

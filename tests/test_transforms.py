@@ -12,6 +12,7 @@ from _strategies import paravectors, proper_paravectors, real_vectors
 from paravec import (
     ONE,
     BadUnitVector,
+    DegenerateComposition,
     ImproperParavector,
     IsotropicNormal,
     Orientation,
@@ -90,6 +91,10 @@ class TestRotate:
         axis = spatial_axis(SpatialRotation((0, 0, 1), math.pi / 4))
         g = Paravector(0, (1, 0, 0))
         assert approx_eq(rotate(g, axis, LEFT), Paravector(0, (0, 1, 0)))
+
+    def test_orientation_must_be_an_orientation(self):
+        with pytest.raises(TypeError):
+            rotate(ONE, RotationAxis.identity(), "left")
 
     def test_fixes_spatially_parallel_paravectors(self):
         axis = RotationAxis.from_paravector(Paravector(2, (1, 1j, 0.5)))
@@ -233,6 +238,11 @@ class TestComposeMirrors:
     def test_perpendicular_planes_give_a_half_turn(self):
         axis = compose_mirrors((1, 0, 0), (0, 1, 0))
         assert approx_eq(axis.value, Paravector(0, (0, 0, 1j)))
+
+    def test_nearly_isotropic_normal_composes_to_no_axis(self):
+        # w1.w1 = 3e-9 passes the isotropy check, but det{w1.w2 | i w1 x w2} does not
+        with pytest.raises(DegenerateComposition):
+            compose_mirrors((1, 1j * (1 - 1.5e-9), 0), (0.5, 0, 0))
 
     @given(paravectors(), real_vectors(min_norm=0.3), real_vectors(min_norm=0.3))
     def test_equals_sequential_mirrors(self, g, w1, w2):

@@ -19,6 +19,7 @@ from paravec import (
     BadUnitVector,
     ImproperParavector,
     InvariantViolation,
+    Matrix2,
     Matrix4,
     Orientation,
     Paravector,
@@ -42,6 +43,7 @@ RIGHT = Orientation.RIGHT
 
 MALFORMED = {
     "scalar-text": lambda: Paravector("x", (0, 0, 0)),
+    "scalar-numeric-text": lambda: Paravector("1", ("0", "2j", "0")),
     "scalar-none": lambda: Paravector(None, (0, 0, 0)),
     "scalar-huge-int": lambda: Paravector(10**400, (0, 0, 0)),
     "vector-short": lambda: Paravector(1, (0, 0)),
@@ -51,18 +53,23 @@ MALFORMED = {
     "rotation-axis-complex": lambda: SpatialRotation((1j, 0, 0), 0.3),
     "rotation-axis-long": lambda: SpatialRotation((1, 0, 0, 0), 0.3),
     "tolerance-text": lambda: Tolerance("x", 1),
+    "tolerance-numeric-text": lambda: Tolerance("1e-3", "0"),
     "tolerance-complex": lambda: Tolerance(1e-9, 1j),
+    "wire-numeric-text": lambda: from_wire(["1"] * 8),
     "angle-of-a-tuple": lambda: Angle((1, 0, 0, 0), RIGHT),
     "axis-of-a-float": lambda: RotationAxis(1.0),
     "rotate-vector-4": lambda: rotate_vector((1, 0, 0, 99), ROT),
     "rotate-vector-complex": lambda: rotate_vector((1j, 0, 0), ROT),
     "about-4": lambda: SpatialRotation.about((1, 0, 0, 5), 0.3),
     "about-inf": lambda: SpatialRotation.about((math.inf, 0, 0), 0.3),
+    "about-numeric-text": lambda: SpatialRotation.about(("1", 0, 0), 0.3),
     "mirror-normal-short": lambda: mirror(paravec.ONE, (1, 2)),
     "mirror-normal-inf": lambda: mirror(paravec.ONE, (math.inf, 0, 0)),
     "axial-vector-text": lambda: axial_symmetry(paravec.ONE, ("a", 0, 0)),
     "compose-mirrors-dict": lambda: compose_mirrors({0: 1, 1: 0, 3: 0}, (0, 1, 0)),
     "matrix-huge-int": lambda: Matrix4([[10**400, 0, 0, 0]] + [[0, 0, 0, 0]] * 3),
+    "matrix2-numeric-text": lambda: Matrix2([["1", 0], [0, 1]]),
+    "matrix2-of-a-number": lambda: Matrix2(5),
 }
 
 

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from _strategies import components
-from paravec import ONE, ArityError, Paravector, ParseError
-from paravec.cli import main
+from paravec import ONE, ArityError, Paravector, ParseError, RotationAxis, SpatialRotation
+from paravec.cli import _parse_rotation, _parse_vector, main
+from paravec.fuzz import make_pack
 from paravec.wire import (
     from_wire,
     load_number_array,
@@ -64,6 +65,28 @@ class TestWire:
     def test_load_number_array_keeps_order(self):
         assert load_number_array("[3,1,2]") == [3.0, 1.0, 2.0]
 
+    def test_fuzz_inputs_replay_through_the_pv_parsers(self):
+        # the wire form of every pack family that is a pv operand parses back
+        # to it: bit-exact, except that SpatialRotation.about renormalizes n
+        without_operand = set()
+        for i in range(50):
+            pack = make_pack(42, i)
+            pack.axis1, pack.axis2  # the derived families
+            for name, value in vars(pack).items():
+                text = json.dumps(to_wire(value))
+                if isinstance(value, (Paravector, RotationAxis)):
+                    assert json.dumps(to_wire(parse_paravector(text))) == text, name
+                elif isinstance(value, tuple):
+                    assert json.dumps(to_wire(_parse_vector(text))) == text, name
+                elif isinstance(value, SpatialRotation):
+                    r = _parse_rotation(text)
+                    assert r.phi == value.phi, name
+                    for got, want in zip(r.n, value.n):
+                        assert abs(got - want) <= 2 * math.ulp(want), name
+                else:
+                    without_operand.add(name)
+        assert without_operand == {"lam", "mu", "tau", "s_real", "phi1", "phi2"}
+
 
 class TestCliBasics:
     def test_det_example(self, capsys):
@@ -91,8 +114,9 @@ class TestCliBasics:
             "[1" + "0" * 400 + ",0,0,0,0,0,0,0]",  # too large for a float
             "[" + "1" * 5000 + ",0,0,0,0,0,0,0]",  # beyond the int digit limit
             "[" * 100_000,  # nested beyond the recursion limit
+            '{"a":1}',  # valid JSON, but not an array
         ],
-        ids=["huge-int", "long-int", "deep-nesting"],
+        ids=["huge-int", "long-int", "deep-nesting", "not-an-array"],
     )
     def test_number_parse_crashes_are_parse_errors(self, capsys, text):
         assert main(["det", text]) == 2
