@@ -11,7 +11,6 @@ error, 3 fuzz campaign found a counterexample.  ``--tol`` (or the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -19,9 +18,9 @@ from .core import DEFAULT_TOL, Paravector, Tolerance, classify
 from .errors import ArityError, ParavectorError, ParseError, ValidationError
 from .geometry import Angle, angle, compose_angles
 from .matrices import format_matrix, to_matrix4, to_pauli
-from .products import Orientation, scalar_product, vector_product
+from .products import _LEFT, _RIGHT, scalar_product, vector_product
 from .transforms import RotationAxis, SpatialRotation, axial_symmetry, euler_compose, mirror, rotate
-from .wire import load_number_array, parse_paravector, serialize_numbers, to_wire
+from .wire import _compact, load_number_array, parse_paravector, serialize_numbers, to_wire
 
 
 class _UsageError(Exception):
@@ -51,10 +50,6 @@ def _parse_rotation(text):
     if len(numbers) != 4:
         raise ArityError(f"expected 4 numbers [nx,ny,nz,phi], got {len(numbers)}")
     return SpatialRotation.about(numbers[:3], numbers[3])
-
-
-def _compact(value):
-    return json.dumps(value, separators=(",", ":"))
 
 
 def _wire(x):
@@ -97,7 +92,6 @@ _OPERANDS = {
     "R1": _ROTATION,
     "R2": _ROTATION,
 }
-_RIGHT, _LEFT = Orientation.RIGHT, Orientation.LEFT
 
 # name: (help, operands, orientation default or None, takes --json,
 #        function of the parsed operands [, orientation] and tol, emitter)
@@ -111,7 +105,7 @@ _COMMANDS = {
     "det": ("determinant as [re,im]", "A", None, False, lambda a, tol: a.det(), _wire),
     "inv": ("multiplicative inverse", "A", None, False, Paravector.inverse, _wire),
     "module": ("square root of a real nonnegative determinant", "A", None, False,
-               Paravector.module, json.dumps),
+               Paravector.module, _compact),
     "normalize": ("rescale to determinant one", "A", None, False, Paravector.normalize, _wire),
     "classify": ("proper/singular/orthogonal/special/unitar flags", "A", None, True,
                  classify, _emit_classification),
@@ -140,11 +134,11 @@ def _orientation_flags(sub, default):
     group = sub.add_mutually_exclusive_group()
     group.add_argument(
         "--left", dest="orientation", action="store_const",
-        const=Orientation.LEFT, help="use the left orientation",
+        const=_LEFT, help="use the left orientation",
     )
     group.add_argument(
         "--right", dest="orientation", action="store_const",
-        const=Orientation.RIGHT, help="use the right orientation",
+        const=_RIGHT, help="use the right orientation",
     )
     sub.set_defaults(orientation=default)
 

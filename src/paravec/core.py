@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import ImproperParavector, SingularParavector, ValidationError
 
@@ -97,8 +96,60 @@ def format_complex(z):
     return f"{re:g}{sign}{abs(im):g}i"
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
+class _Value:
+    """Base of every immutable value: slotted fields, set once.
+
+    A subclass names its fields, in order, in ``__match_args__`` and
+    ``__slots__``; its ``__init__`` validates them and sets them with
+    ``_set_fields``, through ``_setters``: the slots' ``__set__``, bound
+    once, which pass the guard of ``__setattr__``.  Equality, hashing,
+    ``repr`` and pickling go by the tuple of the fields; unpickling and
+    copying run no validator.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def _fields(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def _set_fields(self, fields):
+        for set_field, value in zip(self._setters, fields):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields())
+
+
+def _rebuild(cls, fields):
+    """A ``cls`` holding ``fields`` as they are: the trusted constructor of pickling."""
+    obj = object.__new__(cls)
+    obj._set_fields(fields)
+    return obj
+
+
+class Tolerance(_Value):
     """Absolute/relative tolerance pair for predicates and preconditions.
 
     A quantity of polynomial degree k in the operand components is tested
@@ -108,15 +159,13 @@ class Tolerance:
     decidable in floating point.
     """
 
-    abs: float = 1e-9
-    rel: float = 1e-9
+    __match_args__ = __slots__ = ("abs", "rel")
 
-    def __post_init__(self):
-        a, r = _as_real(self.abs, "tolerances"), _as_real(self.rel, "tolerances")
+    def __init__(self, abs=1e-9, rel=1e-9):
+        a, r = _as_real(abs, "tolerances"), _as_real(rel, "tolerances")
         if a < 0.0 or r < 0.0:
             raise ValidationError("tolerances must be nonnegative")
-        object.__setattr__(self, "abs", a)
-        object.__setattr__(self, "rel", r)
+        self._set_fields((a, r))
 
     def linear(self, scale):
         return self.abs + self.rel * scale
@@ -128,19 +177,16 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, slots=True)
-class Paravector:
+class Paravector(_Value):
     """Immutable pair of a complex scalar ``s`` and a complex 3-vector ``v``.
 
     Equality is exact and structural; use :meth:`approx_eq` for
     tolerance-based comparison.  All eight real components must be finite.
     """
 
-    s: complex
-    v: tuple
+    __match_args__ = __slots__ = ("s", "v")
 
-    def __post_init__(self):
-        s, v = self.s, self.v
+    def __init__(self, s, v):
         if not (
             type(s) is complex
             and type(v) is tuple
@@ -148,8 +194,17 @@ class Paravector:
             and type(v[0]) is type(v[1]) is type(v[2]) is complex
             and cmath.isfinite(s + v[0] + v[1] + v[2])
         ):  # one by one: a sum of finite components can still overflow
-            object.__setattr__(self, "s", _as_complex(s, _COMPONENTS))
-            object.__setattr__(self, "v", _as_cvector(v, _COMPONENTS))
+            s, v = _as_complex(s, _COMPONENTS), _as_cvector(v, _COMPONENTS)
+        _set_s(self, s)
+        _set_v(self, v)
+
+    def __eq__(self, other):  # the base's semantics, several times faster
+        if other.__class__ is self.__class__:
+            return (self.s, self.v) == (other.s, other.v)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.s, self.v))
 
     # -- involutions -------------------------------------------------
 
@@ -285,6 +340,9 @@ class Paravector:
         return NotImplemented
 
 
+_set_s, _set_v = Paravector._setters
+
+
 def _make(s, v):
     """Trusted result constructor for a complex ``s`` and a 3-tuple ``v``.
 
@@ -292,8 +350,8 @@ def _make(s, v):
     if not cmath.isfinite(s + v[0] + v[1] + v[2]):
         return Paravector(s, v)
     p = object.__new__(Paravector)
-    object.__setattr__(p, "s", s)
-    object.__setattr__(p, "v", v)
+    _set_s(p, s)
+    _set_v(p, v)
     return p
 
 
@@ -337,8 +395,7 @@ ZERO = Paravector(0j, (0j, 0j, 0j))
 ONE = Paravector(1 + 0j, (0j, 0j, 0j))
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(_Value):
     """Tolerance-aware verdicts about one paravector.
 
     ``is_proper`` and ``is_singular`` are mutually exclusive;
@@ -346,13 +403,11 @@ class Classification:
     tolerance pair the verdicts were computed with.
     """
 
-    det: complex
-    is_proper: bool
-    is_singular: bool
-    is_orthogonal: bool
-    is_special: bool
-    is_unitar: bool
-    tol: Tolerance
+    __match_args__ = __slots__ = ("det", "is_proper", "is_singular", "is_orthogonal",
+                                  "is_special", "is_unitar", "tol")
+
+    def __init__(self, det, is_proper, is_singular, is_orthogonal, is_special, is_unitar, tol):
+        self._set_fields((det, is_proper, is_singular, is_orthogonal, is_special, is_unitar, tol))
 
 
 def classify(p, tol=DEFAULT_TOL):

@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from . import core, matrices
@@ -46,6 +45,7 @@ from .core import (
     Paravector,
     _make,
     _scale,
+    _Value,
     approx_eq,
     classify,
     component_scale,
@@ -64,7 +64,7 @@ from .geometry import (
     is_spatially_parallel,
     parallel_ratio,
 )
-from .products import Orientation, integrated, scalar_product, vector_product
+from .products import _LEFT as LEFT, _RIGHT as RIGHT, integrated, scalar_product, vector_product
 from .transforms import (
     RotationAxis,
     SpatialRotation,
@@ -81,9 +81,6 @@ from .wire import to_wire
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-RIGHT = Orientation.RIGHT
-LEFT = Orientation.LEFT
 
 
 def mix64(x):
@@ -411,11 +408,11 @@ def _zero_c(x, tol, scale):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Property:
-    suite: str
-    name: str
-    check: object
+class Property(_Value):
+    __match_args__ = __slots__ = ("suite", "name", "check")
+
+    def __init__(self, suite, name, check):
+        self._set_fields((suite, name, check))
 
     @property
     def full_name(self):
@@ -1393,21 +1390,22 @@ class _Recording:
         return value
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    passes: int
-    fails: int
-    counterexample: dict | None
+class PropertyResult(_Value):
+    """Verdict counts of one property; ``counterexample`` is a dict or None."""
+
+    __match_args__ = __slots__ = ("name", "passes", "fails", "counterexample")
+
+    def __init__(self, name, passes, fails, counterexample):
+        self._set_fields((name, passes, fails, counterexample))
 
 
-@dataclass
-class FuzzReport:
-    seed: int
-    trials: int
-    tol: object
-    mutant: str | None
-    properties: list
+class FuzzReport(_Value):
+    """What ``run_fuzz`` found: ``properties`` is a tuple of ``PropertyResult``."""
+
+    __match_args__ = __slots__ = ("seed", "trials", "tol", "mutant", "properties")
+
+    def __init__(self, seed, trials, tol, mutant, properties):
+        self._set_fields((seed, trials, tol, mutant, properties))
 
     @property
     def failed_properties(self):
@@ -1429,7 +1427,7 @@ class FuzzReport:
             "trials": self.trials,
             "tol": {"abs": self.tol.abs, "rel": self.tol.rel},
             "mutant": self.mutant,
-            "properties": [asdict(r) for r in self.properties],
+            "properties": [dict(zip(r.__match_args__, r._fields())) for r in self.properties],
             "failed_properties": self.failed_properties,
             "total_failures": self.total_failures,
         }
@@ -1497,8 +1495,8 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                         if error is not None:
                             ce["error"] = error
                         counterexamples[j] = ce
-    results = [
+    results = tuple(
         PropertyResult(prop.full_name, passes[j], fails[j], counterexamples[j])
         for j, prop in enumerate(props)
-    ]
+    )
     return FuzzReport(seed, trials, tol, mutant, results)

@@ -16,13 +16,12 @@ component is named ``cosinis`` and the vector component ``sinis``
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOL,
     ONE,
-    Paravector,
     _det_verdict,
+    _Value,
     component_norm,
     is_orthogonal_transform,
     vcross,
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .products import (
     _BAD_ORIENTATION,
+    _RIGHT,
     Orientation,
     integrated,
     scalar_product,
@@ -43,18 +43,19 @@ from .products import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Angle:
+class Angle(_Value):
     """A determinant-one paravector with an orientation tag."""
 
-    value: Paravector
-    orientation: Orientation
+    __match_args__ = __slots__ = ("value", "orientation")
 
-    def __post_init__(self):
-        if not isinstance(self.orientation, Orientation):
+    def __init__(self, value, orientation):
+        if not isinstance(orientation, Orientation):
             raise TypeError(_BAD_ORIENTATION)
-        if not is_orthogonal_transform(self.value):
+        if not is_orthogonal_transform(value):
             raise InvariantViolation("an angle paravector must have determinant one")
+        set_value, set_orientation = self._setters
+        set_value(self, value)
+        set_orientation(self, orientation)
 
     @property
     def cosinis(self):
@@ -82,7 +83,7 @@ def is_parallel(a, b, tol=DEFAULT_TOL):
     """True when the vector product of two non-singular paravectors vanishes."""
     _require_nonsingular(a, tol)
     _require_nonsingular(b, tol)
-    w = vector_product(a, b, Orientation.RIGHT)
+    w = vector_product(a, b, _RIGHT)
     return vnorm(w) <= tol.abs + tol.rel * component_norm(a) * component_norm(b)
 
 
@@ -106,7 +107,7 @@ def is_singularly_parallel(a, b, tol=DEFAULT_TOL):
 
     A true verdict forces both operands to be singular.
     """
-    p = integrated(a, b, Orientation.RIGHT)
+    p = integrated(a, b, _RIGHT)
     thr = tol.abs + tol.rel * component_norm(a) * component_norm(b)
     return (
         abs(p.s) <= thr

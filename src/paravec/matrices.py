@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 
-from .core import DEFAULT_TOL, Paravector, _as_complex, format_complex
+from .core import DEFAULT_TOL, Paravector, _as_complex, _Value, format_complex
 from .errors import NotAParavectorMatrix, ValidationError
 
 
@@ -47,20 +47,14 @@ def _entry_scale(*matrices):
     return scale
 
 
-class _SquareMatrix:
-    """Immutable: ``rows`` is set once, through ``object.__setattr__``."""
+class _SquareMatrix(_Value):
+    """An immutable n x n complex matrix, its ``rows`` an n-tuple of n-tuples."""
 
-    __slots__ = ("rows",)
+    __match_args__ = __slots__ = ("rows",)
     _n = 0
 
     def __init__(self, rows):
-        object.__setattr__(self, "rows", _check_rows(rows, self._n))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        self._setters[0](self, _check_rows(rows, self._n))
 
     @classmethod
     def _trusted(cls, rows):
@@ -70,7 +64,7 @@ class _SquareMatrix:
         if not cmath.isfinite(sum(map(sum, rows))):
             return cls(rows)
         m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
+        cls._setters[0](m, rows)
         return m
 
     @classmethod
@@ -81,12 +75,6 @@ class _SquareMatrix:
                 tuple(1 + 0j if i == j else 0j for j in range(n)) for i in range(n)
             )
         )
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __add__(self, other):
         if type(other) is not type(self):

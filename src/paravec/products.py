@@ -21,14 +21,16 @@ class Orientation(Enum):
     LEFT = "left"
 
 
+# the members bound once: a module global is read faster than an enum member
+_RIGHT, _LEFT = Orientation.RIGHT, Orientation.LEFT
 _BAD_ORIENTATION = "orientation must be Orientation.RIGHT or Orientation.LEFT"
 
 
 def integrated(a, b, orientation=Orientation.RIGHT):
     """Oriented integrated product of two paravectors."""
-    if orientation is Orientation.RIGHT:
+    if orientation is _RIGHT:
         return core.mul(a, b.rev())
-    if orientation is Orientation.LEFT:
+    if orientation is _LEFT:
         return core.mul(a.rev(), b)
     raise TypeError(_BAD_ORIENTATION)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_TOL,
@@ -23,6 +22,7 @@ from .core import (
     _as_real,
     _as_rvector,
     _make,
+    _Value,
     component_scale,
     is_orthogonal_transform,
     vcross,
@@ -35,23 +35,23 @@ from .errors import (
     IsotropicNormal,
     ValidationError,
 )
-from .products import _BAD_ORIENTATION, Orientation
+from .products import _BAD_ORIENTATION, _LEFT, _RIGHT, Orientation
 
 _PARAMETERS = "rotation parameters"
 
 
-@dataclass(frozen=True, slots=True)
-class RotationAxis:
+class RotationAxis(_Value):
     """A determinant-one paravector acting as a rotation axis."""
 
-    value: Paravector
+    __match_args__ = __slots__ = ("value",)
 
-    def __post_init__(self):
-        if not is_orthogonal_transform(self.value):
+    def __init__(self, value):
+        if not is_orthogonal_transform(value):
             raise ImproperParavector(
                 "a rotation axis must have determinant one; "
                 "normalize a proper paravector first"
             )
+        self._setters[0](self, value)
 
     @classmethod
     def from_paravector(cls, p, tol=DEFAULT_TOL):
@@ -63,27 +63,23 @@ class RotationAxis:
         return cls(ONE)
 
 
-@dataclass(frozen=True, slots=True)
-class SpatialRotation:
+class SpatialRotation(_Value):
     """Euclidean rotation by ``2*phi`` about the real unit vector ``n``.
 
     ``axis_defined`` is False for a composition that came out as the
     identity, where the axis is arbitrary.
     """
 
-    n: tuple
-    phi: float
-    axis_defined: bool = True
+    __match_args__ = __slots__ = ("n", "phi", "axis_defined")
 
-    def __post_init__(self):
-        n, phi = _as_rvector(self.n, _PARAMETERS), _as_real(self.phi, _PARAMETERS)
-        if not isinstance(self.axis_defined, bool):
+    def __init__(self, n, phi, axis_defined=True):
+        n, phi = _as_rvector(n, _PARAMETERS), _as_real(phi, _PARAMETERS)
+        if not isinstance(axis_defined, bool):
             raise ValidationError("axis_defined must be True or False")
         norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
         if abs(norm - 1.0) > DEFAULT_TOL.linear(1.0):
             raise BadUnitVector("axis vector must have unit length")
-        object.__setattr__(self, "n", (n[0] / norm, n[1] / norm, n[2] / norm))
-        object.__setattr__(self, "phi", phi)
+        self._set_fields(((n[0] / norm, n[1] / norm, n[2] / norm), phi, axis_defined))
 
     @classmethod
     def about(cls, axis, phi):
@@ -117,9 +113,9 @@ def rotate(g, axis, orientation=Orientation.LEFT):
     preserves both the determinant and the scalar component.
     """
     lam = axis.value
-    if orientation is Orientation.LEFT:
+    if orientation is _LEFT:
         return (lam.rev() * g) * lam
-    if orientation is Orientation.RIGHT:
+    if orientation is _RIGHT:
         return (lam * g) * lam.rev()
     raise TypeError(_BAD_ORIENTATION)
 
@@ -142,7 +138,7 @@ def rotate_vector(w, rotation):
     """
     x, y, z = _as_rvector(w)
     g = _make(0j, (complex(x), complex(y), complex(z)))
-    r = rotate(g, spatial_axis(rotation), Orientation.LEFT)
+    r = rotate(g, spatial_axis(rotation), _LEFT)
     return (r.v[0].real, r.v[1].real, r.v[2].real)
 
 

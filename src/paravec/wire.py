@@ -17,6 +17,10 @@ from .errors import ArityError, ParseError
 from .transforms import RotationAxis, SpatialRotation
 
 
+# what json.dumps(value, separators=(",", ":")) would build on every call
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _reject_constant(token):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
@@ -84,9 +88,9 @@ def parse_paravector(text):
 
 def serialize_paravector(p):
     """Compact JSON wire form of a paravector."""
-    return json.dumps(to_wire(p), separators=(",", ":"))
+    return _compact(to_wire(p))
 
 
 def serialize_numbers(numbers):
     """Compact JSON array of floats."""
-    return json.dumps([float(n) for n in numbers], separators=(",", ":"))
+    return _compact([float(n) for n in numbers])

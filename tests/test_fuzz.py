@@ -203,7 +203,8 @@ def test_cli_loads_the_fuzz_engine_only_for_the_fuzz_command():
 
 
 def test_the_package_loads_only_the_standard_library():
-    # -S: the site hooks would load third-party modules of their own
+    # -S: the site hooks would load third-party modules of their own; of the
+    # standard library, dataclasses and inspect alone cost about 10 ms at start-up
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys\n"
@@ -213,10 +214,11 @@ def test_the_package_loads_only_the_standard_library():
         "assert paravec.cli.main(['det', '[1,1,1,0,0,0,0,0]']) == 0\n"
         "loaded = {name.split('.')[0] for name in sys.modules}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names) - {'paravec', '__main__'}))\n"
+        "print(sorted({'dataclasses', 'inspect'} & loaded))\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[-1.0,2.0]", "[]"]
+    assert out.stdout.splitlines() == ["[-1.0,2.0]", "[]", "[]"]
