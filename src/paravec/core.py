@@ -198,14 +198,6 @@ class Paravector(_Value):
         _set_s(self, s)
         _set_v(self, v)
 
-    def __eq__(self, other):  # the base's semantics, several times faster
-        if other.__class__ is self.__class__:
-            return (self.s, self.v) == (other.s, other.v)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.s, self.v))
-
     # -- involutions -------------------------------------------------
 
     def rev(self):

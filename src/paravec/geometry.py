@@ -53,9 +53,7 @@ class Angle(_Value):
             raise TypeError(_BAD_ORIENTATION)
         if not is_orthogonal_transform(value):
             raise InvariantViolation("an angle paravector must have determinant one")
-        set_value, set_orientation = self._setters
-        set_value(self, value)
-        set_orientation(self, orientation)
+        self._set_fields((value, orientation))
 
     @property
     def cosinis(self):

@@ -54,7 +54,7 @@ class _SquareMatrix(_Value):
     _n = 0
 
     def __init__(self, rows):
-        self._setters[0](self, _check_rows(rows, self._n))
+        self._set_fields((_check_rows(rows, self._n),))
 
     @classmethod
     def _trusted(cls, rows):

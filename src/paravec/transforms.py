@@ -51,7 +51,7 @@ class RotationAxis(_Value):
                 "a rotation axis must have determinant one; "
                 "normalize a proper paravector first"
             )
-        self._setters[0](self, value)
+        self._set_fields((value,))
 
     @classmethod
     def from_paravector(cls, p, tol=DEFAULT_TOL):
