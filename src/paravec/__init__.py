@@ -19,7 +19,6 @@ from .core import (
     Tolerance,
     approx_eq,
     classify,
-    component_norm,
     component_scale,
     format_complex,
     is_orthogonal_transform,
@@ -128,7 +127,6 @@ __all__ = [
     "classify",
     "compose_angles",
     "compose_mirrors",
-    "component_norm",
     "component_scale",
     "euler_compose",
     "explement",

@@ -154,9 +154,12 @@ class Tolerance(_Value):
 
     A quantity of polynomial degree k in the operand components is tested
     against ``abs + rel * scale**k``, where scale is the largest absolute
-    real component among the operands.  The degree-aware scaling keeps
-    exact-arithmetic statements (determinant zero, determinant real)
-    decidable in floating point.
+    real component among the operands.  A two-operand bilinear test
+    (parallel, perpendicular, singularly parallel, spatially parallel) uses
+    the product of each operand's scale, ``abs + rel * scale_a * scale_b``.
+    The degree-aware scaling keeps exact-arithmetic statements (determinant
+    zero, determinant real) decidable in floating point.  ``linear`` and
+    ``quadratic`` are the only code that computes a threshold.
     """
 
     __match_args__ = __slots__ = ("abs", "rel")
@@ -485,21 +488,6 @@ def component_scale(*items):
             if i > m:
                 m = i
     return m
-
-
-def component_norm(p):
-    """Euclidean norm of the eight real components of a paravector."""
-    s, v = p.s, p.v
-    return math.sqrt(
-        s.real * s.real
-        + s.imag * s.imag
-        + v[0].real * v[0].real
-        + v[0].imag * v[0].imag
-        + v[1].real * v[1].real
-        + v[1].imag * v[1].imag
-        + v[2].real * v[2].real
-        + v[2].imag * v[2].imag
-    )
 
 
 def approx_eq(a, b, tol=DEFAULT_TOL):

@@ -390,17 +390,17 @@ def make_pack(seed, index):
 
 
 def _close_c(x, y, tol):
-    return abs(x - y) <= tol.abs + tol.rel * max(abs(x), abs(y))
+    return abs(x - y) <= tol.linear(max(abs(x), abs(y)))
 
 
 def _close_v(u, v, tol):
     sc = max(max(abs(x) for x in u), max(abs(x) for x in v))
-    thr = tol.abs + tol.rel * sc
+    thr = tol.linear(sc)
     return all(abs(x - y) <= thr for x, y in zip(u, v))
 
 
 def _zero_c(x, tol, scale):
-    return abs(x) <= tol.abs + tol.rel * scale
+    return abs(x) <= tol.linear(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,17 @@ class Property(_Value):
     def full_name(self):
         return f"{self.suite}/{self.name}"
 
+    def __reduce__(self):
+        # the check is a function named ``_`` and does not pickle by reference
+        return _registered, (self.full_name,)
+
 
 _PROPS = []
+
+
+def _registered(full_name):
+    """The registered property named ``full_name``; unpickling returns it."""
+    return next(p for p in _PROPS if p.full_name == full_name)
 
 
 def _prop(suite, name):
@@ -1223,7 +1232,7 @@ def _(p, tol):
         matrices.to_matrix4(p.sing1).det(), tol, sc * sc * sc * sc
     )
     nc = component_scale(p.nonsing1)
-    nonsingular_side = abs(matrices.to_matrix4(p.nonsing1).det()) > tol.abs + tol.rel * nc**4
+    nonsingular_side = abs(matrices.to_matrix4(p.nonsing1).det()) > tol.linear(nc**4)
     return singular_side and nonsingular_side
 
 

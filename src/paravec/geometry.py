@@ -21,8 +21,9 @@ from .core import (
     DEFAULT_TOL,
     ONE,
     _det_verdict,
+    _pv_scale,
     _Value,
-    component_norm,
+    component_scale,
     is_orthogonal_transform,
     vcross,
     vnorm,
@@ -82,22 +83,20 @@ def is_parallel(a, b, tol=DEFAULT_TOL):
     _require_nonsingular(a, tol)
     _require_nonsingular(b, tol)
     w = vector_product(a, b, _RIGHT)
-    return vnorm(w) <= tol.abs + tol.rel * component_norm(a) * component_norm(b)
+    return vnorm(w) <= tol.linear(_pv_scale(a) * _pv_scale(b))
 
 
 def is_perpendicular(a, b, tol=DEFAULT_TOL):
     """True when the scalar product of two non-singular paravectors vanishes."""
     _require_nonsingular(a, tol)
     _require_nonsingular(b, tol)
-    return abs(scalar_product(a, b)) <= tol.abs + tol.rel * component_norm(
-        a
-    ) * component_norm(b)
+    return abs(scalar_product(a, b)) <= tol.linear(_pv_scale(a) * _pv_scale(b))
 
 
 def is_spatially_parallel(a, b, tol=DEFAULT_TOL):
     """True when the cross product of the vector parts vanishes."""
     c = vcross(a.v, b.v)
-    return vnorm(c) <= tol.abs + tol.rel * vnorm(a.v) * vnorm(b.v)
+    return vnorm(c) <= tol.linear(component_scale(a.v) * component_scale(b.v))
 
 
 def is_singularly_parallel(a, b, tol=DEFAULT_TOL):
@@ -106,7 +105,7 @@ def is_singularly_parallel(a, b, tol=DEFAULT_TOL):
     A true verdict forces both operands to be singular.
     """
     p = integrated(a, b, _RIGHT)
-    thr = tol.abs + tol.rel * component_norm(a) * component_norm(b)
+    thr = tol.linear(_pv_scale(a) * _pv_scale(b))
     return (
         abs(p.s) <= thr
         and abs(p.v[0]) <= thr

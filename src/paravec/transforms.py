@@ -195,7 +195,7 @@ def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
     num = Paravector(vdot(w1, w2), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
     d = num.det()
     snn = component_scale(w1) * component_scale(w2)
-    if abs(d) <= tol.abs + tol.rel * snn * snn:
+    if abs(d) <= tol.quadratic(snn):
         raise DegenerateComposition("mirror normals compose to no definite axis")
     return RotationAxis(num * (1.0 / cmath.sqrt(d)))
 

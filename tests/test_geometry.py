@@ -132,6 +132,28 @@ class TestSingularParallel:
         assert classify(g).is_singular and classify(h).is_singular
 
 
+# Each predicate tests a bilinear quantity against abs + rel * scale_a * scale_b,
+# scale being an operand's largest absolute real component.  A Euclidean-norm
+# threshold would accept every "off" pair below.
+@pytest.mark.parametrize(
+    "predicate, pair, on, off",
+    [
+        (is_perpendicular, lambda e: (Paravector(1, (1, 1, 1)), Paravector(1 + e, (1, 1, -1))),
+         1e-9, 3e-9),
+        (is_parallel, lambda e: (Paravector(2, (2, 2, 2)), Paravector(2, (2, 2, 2 + e))),
+         1e-9, 3e-9),
+        (is_spatially_parallel, lambda e: (Paravector(0, (1, 1, 1)), Paravector(0, (1, 1, 1 + e))),
+         1e-9, 2.5e-9),
+        (is_singularly_parallel, lambda e: (Paravector(3, (1, 2, 2)), Paravector(3, (1, 2, 2 + e))),
+         2e-9, 4e-9),
+    ],
+    ids=["perpendicular", "parallel", "spatially-parallel", "singularly-parallel"],
+)
+def test_bilinear_predicates_scale_by_largest_components(predicate, pair, on, off):
+    assert predicate(*pair(on))
+    assert not predicate(*pair(off))
+
+
 class TestAngle:
     def test_zero_angle(self):
         g = Paravector(2, (1, 0, 0))

@@ -24,7 +24,7 @@ from paravec import (
     classify,
     to_pauli,
 )
-from paravec.fuzz import FuzzReport, PropertyResult
+from paravec.fuzz import _PROPS, FuzzReport, PropertyResult
 
 # (build, repr, __match_args__): build() makes a new value with the same fields
 VALUES = {
@@ -119,4 +119,13 @@ def test_pickle_and_deepcopy_round_trip_without_validation(build, text, fields, 
     copies.append(copy.deepcopy(value))
     for twin in copies:
         assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_fuzz_properties_unpickle_to_the_registered_one(protocol):
+    # a property's check is a function named ``_``; it pickles by its name
+    assert len({prop.full_name for prop in _PROPS}) == len(_PROPS)
+    for prop in _PROPS:
+        assert pickle.loads(pickle.dumps(prop, protocol)) is prop
+        assert copy.deepcopy(prop) is prop
 
