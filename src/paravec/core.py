@@ -250,7 +250,7 @@ class Paravector(_Value):
         d, _, singular, _ = _det_verdict(self, tol)
         if singular:
             raise SingularParavector("singular paravector has no inverse")
-        return self.rev() * (1.0 / d)
+        return _scale(self.rev(), 1.0 / d)
 
     def module(self, tol=DEFAULT_TOL):
         """Nonnegative real square root of the determinant.
@@ -480,7 +480,8 @@ def component_scale(*items):
         else:
             values = (item,)
         for z in values:
-            z = complex(z)
+            if type(z) is not complex:
+                z = complex(z)
             r = abs(z.real)
             if r > m:
                 m = r

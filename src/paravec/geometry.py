@@ -22,6 +22,7 @@ from .core import (
     ONE,
     _det_verdict,
     _pv_scale,
+    _scale,
     _Value,
     component_scale,
     is_orthogonal_transform,
@@ -73,24 +74,26 @@ class Angle(_Value):
 
 
 def _require_nonsingular(p, tol):
-    _, _, singular, _ = _det_verdict(p, tol)
+    """The scale of ``p``, which must be non-singular to ``tol``."""
+    _, sc, singular, _ = _det_verdict(p, tol)
     if singular:
         raise SingularParavector("operation requires non-singular paravectors")
+    return sc
 
 
 def is_parallel(a, b, tol=DEFAULT_TOL):
     """True when the vector product of two non-singular paravectors vanishes."""
-    _require_nonsingular(a, tol)
-    _require_nonsingular(b, tol)
+    sa = _require_nonsingular(a, tol)
+    sb = _require_nonsingular(b, tol)
     w = vector_product(a, b, _RIGHT)
-    return vnorm(w) <= tol.linear(_pv_scale(a) * _pv_scale(b))
+    return vnorm(w) <= tol.linear(sa * sb)
 
 
 def is_perpendicular(a, b, tol=DEFAULT_TOL):
     """True when the scalar product of two non-singular paravectors vanishes."""
-    _require_nonsingular(a, tol)
-    _require_nonsingular(b, tol)
-    return abs(scalar_product(a, b)) <= tol.linear(_pv_scale(a) * _pv_scale(b))
+    sa = _require_nonsingular(a, tol)
+    sb = _require_nonsingular(b, tol)
+    return abs(scalar_product(a, b)) <= tol.linear(sa * sb)
 
 
 def is_spatially_parallel(a, b, tol=DEFAULT_TOL):
@@ -150,7 +153,7 @@ def angle(a, b, orientation=Orientation.RIGHT, tol=DEFAULT_TOL):
     """
     ra = _proper_root(a, tol)
     rb = _proper_root(b, tol)
-    value = integrated(a, b, orientation) * (1.0 / (ra * rb))
+    value = _scale(integrated(a, b, orientation), 1.0 / (ra * rb))
     return Angle(value, orientation)
 
 

@@ -32,6 +32,12 @@ def _check_rows(rows, n):
     return rows
 
 
+_IDENTITY_ROWS = {
+    n: tuple(tuple(1 + 0j if i == j else 0j for j in range(n)) for i in range(n))
+    for n in (2, 4)
+}
+
+
 def _entry_scale(*matrices):
     """Largest absolute real or imaginary part over all entries."""
     scale = 0.0
@@ -69,12 +75,7 @@ class _SquareMatrix(_Value):
 
     @classmethod
     def identity(cls):
-        n = cls._n
-        return cls(
-            tuple(
-                tuple(1 + 0j if i == j else 0j for j in range(n)) for i in range(n)
-            )
-        )
+        return cls(_IDENTITY_ROWS[cls._n])
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -132,8 +133,7 @@ class _SquareMatrix(_Value):
         the eliminated columns to the left are never read again.
         """
         n = self._n
-        a = [list(row) + [1 + 0j if i == j else 0j for j in range(n)]
-             for i, row in enumerate(self.rows)]
+        a = [[*row, *e] for row, e in zip(self.rows, _IDENTITY_ROWS[n])]
         for col in range(n):
             piv, best = col, abs(a[col][col])
             for r in range(col + 1, n):
@@ -182,13 +182,14 @@ class Matrix4(_SquareMatrix):
 
     @staticmethod
     def _product(rows, cols):
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (t0, t1, t2, t3) = cols
         return tuple(
             [
-                tuple(
-                    [
-                        0j + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-                        for b0, b1, b2, b3 in cols
-                    ]
+                (
+                    0j + a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3,
+                    0j + a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3,
+                    0j + a0 * r0 + a1 * r1 + a2 * r2 + a3 * r3,
+                    0j + a0 * t0 + a1 * t1 + a2 * t2 + a3 * t3,
                 )
                 for a0, a1, a2, a3 in rows
             ]
@@ -208,18 +209,27 @@ class Matrix2(_SquareMatrix):
         )
 
 
+_set_rows4 = Matrix4._setters[0]
+
+
 def to_matrix4(p):
-    """4x4 embedding of a paravector."""
+    """4x4 embedding of a paravector.
+
+    Its entries are the components times 1, -1, i or -i, so they are
+    finite like the paravector's and the matrix is built unchecked."""
     a = p.s
     x, y, z = p.v
-    return Matrix4._trusted(
+    m = object.__new__(Matrix4)
+    _set_rows4(
+        m,
         (
             (a, x, y, z),
             (x, a, -1j * z, 1j * y),
             (y, 1j * z, a, -1j * x),
             (z, -1j * y, 1j * x, a),
-        )
+        ),
     )
+    return m
 
 
 def from_matrix4(m, tol=DEFAULT_TOL):

@@ -22,6 +22,7 @@ from .core import (
     _as_real,
     _as_rvector,
     _make,
+    _scale,
     _Value,
     component_scale,
     is_orthogonal_transform,
@@ -67,10 +68,12 @@ class SpatialRotation(_Value):
     """Euclidean rotation by ``2*phi`` about the real unit vector ``n``.
 
     ``axis_defined`` is False for a composition that came out as the
-    identity, where the axis is arbitrary.
+    identity, where the axis is arbitrary.  ``_axis`` is not a field: it
+    holds the axis paravector once ``spatial_axis`` has built and checked it.
     """
 
-    __match_args__ = __slots__ = ("n", "phi", "axis_defined")
+    __match_args__ = ("n", "phi", "axis_defined")
+    __slots__ = (*__match_args__, "_axis")
 
     def __init__(self, n, phi, axis_defined=True):
         n, phi = _as_rvector(n, _PARAMETERS), _as_real(phi, _PARAMETERS)
@@ -120,13 +123,25 @@ def rotate(g, axis, orientation=Orientation.LEFT):
     raise TypeError(_BAD_ORIENTATION)
 
 
+_set_axis = SpatialRotation._axis.__set__
+
+
 def spatial_axis(rotation):
-    """Axis paravector ``{cos(phi) | i n sin(phi)}`` of a spatial rotation."""
+    """Axis paravector ``{cos(phi) | i n sin(phi)}`` of a spatial rotation.
+
+    Built and checked on the first call and kept on the rotation; a copied
+    or unpickled rotation builds it again."""
+    try:
+        return rotation._axis
+    except AttributeError:
+        pass
     c = math.cos(rotation.phi)
     s = math.sin(rotation.phi)
     n = rotation.n
     v = (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)
-    return RotationAxis(_make(complex(c), v))
+    axis = RotationAxis(_make(complex(c), v))
+    _set_axis(rotation, axis)
+    return axis
 
 
 def rotate_vector(w, rotation):
@@ -179,7 +194,7 @@ def mirror(g, w, tol=DEFAULT_TOL):
     """
     w, ww = _anisotropic(w, tol, "mirror normal squares to zero")
     plane = _make(0j, w)
-    return ((plane * g) * plane) * (-1.0 / ww)
+    return _scale((plane * g) * plane, -1.0 / ww)
 
 
 def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
@@ -209,4 +224,4 @@ def axial_symmetry(g, w, tol=DEFAULT_TOL):
     w, ww = _anisotropic(w, tol, "axial vector squares to zero")
     left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
     right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
-    return ((left * g) * right) * (1.0 / ww)
+    return _scale((left * g) * right, 1.0 / ww)

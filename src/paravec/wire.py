@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import Paravector, _as_cvector, _as_real
+from .core import Paravector, _as_cvector, _as_real, _make
 from .errors import ArityError, ParseError
 from .transforms import RotationAxis, SpatialRotation
 
@@ -25,10 +25,17 @@ def _reject_constant(token):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
+# what json.loads(text, parse_constant=_reject_constant) would build on every call
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 def load_number_array(text):
     """Parse a JSON array of finite numbers into a list of floats."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        if type(text) is str and not text.startswith("\ufeff"):
+            data = _decode(text)
+        else:  # json.loads rejects a BOM, decodes bytes and refuses other types
+            data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", position=exc.pos) from None
     except (ValueError, RecursionError) as exc:  # int digit limit, deep nesting
@@ -49,16 +56,26 @@ def load_number_array(text):
     return out
 
 
-def from_wire(numbers):
-    """Build a paravector from the eight wire components (finite reals)."""
+def _wire_paravector(numbers, check):
+    """The paravector of the eight wire components ``[a,d,bx,by,bz,cx,cy,cz]``.
+
+    Each is checked to be a finite real when ``check`` is true; otherwise
+    they must already be finite floats."""
     try:
         count = len(numbers)
     except TypeError:
         raise ArityError(f"expected 8 numbers, not {type(numbers).__name__}") from None
     if count != 8:
         raise ArityError(f"expected 8 numbers, got {count}")
-    a, d, bx, by, bz, cx, cy, cz = (_as_real(n, "wire components") for n in numbers)
-    return Paravector(complex(a, d), (complex(bx, cx), complex(by, cy), complex(bz, cz)))
+    if check:
+        numbers = [_as_real(n, "wire components") for n in numbers]
+    a, d, bx, by, bz, cx, cy, cz = numbers
+    return _make(complex(a, d), (complex(bx, cx), complex(by, cy), complex(bz, cz)))
+
+
+def from_wire(numbers):
+    """Build a paravector from the eight wire components (finite reals)."""
+    return _wire_paravector(numbers, True)
 
 
 def to_wire(x):
@@ -83,12 +100,15 @@ def to_wire(x):
 
 def parse_paravector(text):
     """Parse the wire form of one paravector."""
-    return from_wire(load_number_array(text))
+    return _wire_paravector(load_number_array(text), False)
 
 
 def serialize_paravector(p):
-    """Compact JSON wire form of a paravector."""
-    return _compact(to_wire(p))
+    """Compact JSON wire form of a paravector.
+
+    JSON writes a finite float as ``repr`` does, and every component of a
+    paravector is finite."""
+    return "[" + ",".join(map(float.__repr__, to_wire(p))) + "]"
 
 
 def serialize_numbers(numbers):

@@ -1,6 +1,7 @@
 """4x4 and 2x2 matrix representations and their self-contained arithmetic."""
 
 import cmath
+import random
 
 import numpy as np
 import pytest
@@ -181,6 +182,38 @@ class TestTrustedResults:
         tiny = Matrix4([[diag[i] if i == j else 0.0 for j in range(4)] for i in range(4)])
         with pytest.raises(ValidationError):
             tiny.inverse()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_embedding_at_the_float_limit_equals_the_checked_matrix(self, sign):
+        big = sign * 1.7e308
+        a, x, y, z = complex(big, -big), complex(-big, big), complex(big, big), complex(-big, -big)
+        rows = (
+            (a, x, y, z),
+            (x, a, -1j * z, 1j * y),
+            (y, 1j * z, a, -1j * x),
+            (z, -1j * y, 1j * x, a),
+        )
+        got = to_matrix4(Paravector(a, (x, y, z)))
+        assert got == Matrix4(rows)
+        assert repr(got.rows) == repr(Matrix4(rows).rows)
+
+    def test_product_is_the_row_by_column_sum(self):
+        rng = random.Random(20161)
+        values = (0.0, -0.0, 1.0, -1.0, 0.5, 3e-7, 2e5)
+
+        def entry():
+            return complex(rng.choice(values) * rng.random(), rng.choice(values))
+
+        for _ in range(200):
+            m = Matrix4([[entry() for _ in range(4)] for _ in range(4)])
+            n = Matrix4([[entry() for _ in range(4)] for _ in range(4)])
+            a, b = m.rows, n.rows
+            got = (m @ n).rows
+            for i in range(4):
+                for j in range(4):
+                    want = (0j + a[i][0] * b[0][j] + a[i][1] * b[1][j]
+                            + a[i][2] * b[2][j] + a[i][3] * b[3][j])
+                    assert repr(got[i][j]) == repr(want), (i, j)
 
 
 @pytest.mark.parametrize("m", [Matrix4.identity(), to_matrix4(ONE) @ to_matrix4(ONE),

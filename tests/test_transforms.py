@@ -1,6 +1,8 @@
 """Rotations, mirror/axial symmetry, Euler composition, orthogonality."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -123,6 +125,36 @@ class TestSpatialAxis:
     def test_always_has_unit_determinant(self, axis, phi):
         rot = SpatialRotation.about(axis, phi)
         assert spatial_axis(rot).value.det() == pytest.approx(1 + 0j)
+
+    def test_is_built_and_checked_once(self):
+        rot = SpatialRotation.about((1, 2, -1), 0.9)
+        axis = spatial_axis(rot)
+        assert spatial_axis(rot) is axis
+        c, s, n = math.cos(rot.phi), math.sin(rot.phi), rot.n
+        fresh = RotationAxis(Paravector(c, (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s)))
+        assert repr(axis) == repr(fresh) and axis == fresh
+
+    def test_keeping_the_axis_leaves_the_rotation_value_alone(self):
+        rot, twin = SpatialRotation((0, 0, 1), 0.7), SpatialRotation((0, 0, 1), 0.7)
+        before = repr(rot)
+        spatial_axis(rot)
+        assert repr(rot) == before == repr(twin)
+        assert repr(rot) == "SpatialRotation(n=(0.0, 0.0, 1.0), phi=0.7, axis_defined=True)"
+        assert rot == twin and hash(rot) == hash(twin)
+        with pytest.raises(AttributeError):
+            rot._axis = spatial_axis(twin)
+        assert spatial_axis(rot) is not spatial_axis(twin)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda r: pickle.loads(pickle.dumps(r))])
+    def test_copies_rotate_bit_identically(self, clone):
+        rot = SpatialRotation.about((0.3, -2.0, 1.1), 2.2)
+        w = (1.5, -0.25, 3e-3)
+        want = rotate_vector(w, rot)
+        twin = clone(rot)
+        assert twin == rot
+        assert repr(rotate_vector(w, twin)) == repr(want)
+        assert spatial_axis(twin) == spatial_axis(rot)
 
     def test_rejects_non_unit_axes(self):
         with pytest.raises(BadUnitVector):

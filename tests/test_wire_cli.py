@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import pytest
 from hypothesis import given
@@ -62,6 +63,14 @@ class TestWire:
         assert to_wire(again) == [float(n) for n in numbers]
         assert serialize_paravector(again) == text
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+    def test_serialize_writes_what_json_writes_and_parses_back_bit_exact(self, numbers):
+        p = from_wire(numbers)
+        text = serialize_paravector(p)
+        assert text == json.dumps(to_wire(p), separators=(",", ":"))
+        again = parse_paravector(text)
+        assert struct.pack("8d", *to_wire(again)) == struct.pack("8d", *to_wire(p))
+
     def test_load_number_array_keeps_order(self):
         assert load_number_array("[3,1,2]") == [3.0, 1.0, 2.0]
 
@@ -86,6 +95,60 @@ class TestWire:
                 else:
                     without_operand.add(name)
         assert without_operand == {"lam", "mu", "tau", "s_real", "phi1", "phi2"}
+
+
+def _outcome(fn, text):
+    """``repr`` of what ``fn(text)`` returns, or the type and message it raises."""
+    try:
+        return repr(fn(text))
+    except Exception as exc:  # the comparison is of the error itself
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+_ZEROS = ",0,0,0,0,0,0,0]"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1,-2.5,3e-300,4,5e300,6,7,8]",
+        "\ufeff[1,0,0,0,0,0,0,0]",
+        b"[1,0,0,0,0,0,0,0]",
+        b"\xef\xbb\xbf[1,0,0,0,0,0,0,0]",
+        bytearray(b"[1,0,0,0,0,0,0,0]"),
+        "[NaN" + _ZEROS,
+        "[Infinity" + _ZEROS,
+        "[1e999" + _ZEROS,
+        "[1,2]",
+        "[1,2,3,4,5,6,7,8,9]",
+        "[true" + _ZEROS,
+        "[[1]" + _ZEROS,
+        "{}",
+        "[1,0,0,0",
+        "[" * 100_000,
+        "[" + "7" * 5000 + _ZEROS,
+        "[-0.0,-0.0,-0.0,-0.0,-0.0,-0.0,-0.0,-0.0]",
+        8,
+    ],
+    ids=[
+        "plain", "bom-str", "bytes", "bom-bytes", "bytearray", "nan", "infinity",
+        "overflow", "two", "nine", "true", "nested", "object", "truncated",
+        "deep", "5000-digits", "negative-zeros", "not-text",
+    ],
+)
+def test_parse_paravector_is_from_wire_of_load_number_array(text):
+    assert _outcome(parse_paravector, text) == _outcome(
+        lambda t: from_wire(load_number_array(t)), text
+    )
+
+
+def test_a_byte_order_mark_is_refused_in_text_as_json_loads_refuses_it():
+    with pytest.raises(json.JSONDecodeError, match="BOM") as want:
+        json.loads("\ufeff[1]")
+    with pytest.raises(ParseError, match="BOM") as got:
+        load_number_array("\ufeff[1]")
+    assert got.value.position == want.value.pos
+    assert load_number_array(b"\xef\xbb\xbf[1]") == [1.0]  # bytes may carry one
 
 
 class TestCliBasics:
