@@ -1,11 +1,11 @@
 """The ``pv`` command line tool.
 
 Operands and results travel as JSON arrays in the wire form of
-``paravec.wire.to_wire``; a vector operand may also omit its imaginary
-parts.  Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 domain error (singular, improper, isotropic, ...), 2 usage or parse
-error, 3 fuzz campaign found a counterexample.  ``--tol`` (or the
-``PV_TOL`` environment variable) sets both halves of the tolerance pair.
+``paravec.wire.to_wire``; ``paravec.wire`` parses every operand, and a
+vector may omit its imaginary parts.  Results go to stdout, diagnostics to
+stderr.  Exit codes: 0 success, 1 domain error (singular, improper,
+isotropic, ...), 2 usage or parse error, 3 fuzz campaign found a counterexample.
+``--tol`` (or the ``PV_TOL`` environment variable) sets both tolerance halves.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .errors import ArityError, ParavectorError, ParseError, ValidationError
 from .geometry import Angle, angle, compose_angles
 from .matrices import format_matrix, to_matrix4, to_pauli
 from .products import _LEFT, _RIGHT, scalar_product, vector_product
-from .transforms import RotationAxis, SpatialRotation, axial_symmetry, euler_compose, mirror, rotate
-from .wire import _compact, load_number_array, parse_paravector, serialize_numbers, to_wire
+from .transforms import RotationAxis, axial_symmetry, euler_compose, mirror, rotate
+from .wire import _compact, _parse_rotation, _parse_vector, parse_paravector
+from .wire import serialize_numbers, to_wire
 
 
 class _UsageError(Exception):
@@ -34,22 +35,6 @@ def _text(value):
             raise ParseError("no data on stdin")
         return data
     return value
-
-
-def _parse_vector(text):
-    numbers = load_number_array(text)
-    if len(numbers) == 3:
-        return tuple(map(complex, numbers))
-    if len(numbers) == 6:
-        return tuple(map(complex, numbers[:3], numbers[3:]))
-    raise ArityError(f"expected 3 or 6 numbers for a vector, got {len(numbers)}")
-
-
-def _parse_rotation(text):
-    numbers = load_number_array(text)
-    if len(numbers) != 4:
-        raise ArityError(f"expected 4 numbers [nx,ny,nz,phi], got {len(numbers)}")
-    return SpatialRotation.about(numbers[:3], numbers[3])
 
 
 def _wire(x):
@@ -93,39 +78,37 @@ _OPERANDS = {
     "R2": _ROTATION,
 }
 
-# name: (help, operands, orientation default or None, takes --json,
-#        function of the parsed operands [, orientation] and tol, emitter)
+# name: (help, operands, orientation default or None, function of the parsed operands
+#        [, orientation] and tol, emitter); --json exactly when the emitter takes as_json
 _COMMANDS = {
-    "add": ("sum of two paravectors", "A B", None, False, lambda a, b, tol: a + b, _wire),
-    "mul": ("product of two paravectors", "A B", None, False, lambda a, b, tol: a * b, _wire),
-    "rev": ("reversion (negated vector part)", "A", None, False, lambda a, tol: a.rev(), _wire),
-    "conj": ("conjugation (conjugated components)", "A", None, False,
-             lambda a, tol: a.conj(), _wire),
-    "vig": ("product with own conjugate", "A", None, False, lambda a, tol: a.vig(), _wire),
-    "det": ("determinant as [re,im]", "A", None, False, lambda a, tol: a.det(), _wire),
-    "inv": ("multiplicative inverse", "A", None, False, Paravector.inverse, _wire),
-    "module": ("square root of a real nonnegative determinant", "A", None, False,
+    "add": ("sum of two paravectors", "A B", None, lambda a, b, tol: a + b, _wire),
+    "mul": ("product of two paravectors", "A B", None, lambda a, b, tol: a * b, _wire),
+    "rev": ("reversion (negated vector part)", "A", None, lambda a, tol: a.rev(), _wire),
+    "conj": ("conjugation (conjugated components)", "A", None, lambda a, tol: a.conj(), _wire),
+    "vig": ("product with own conjugate", "A", None, lambda a, tol: a.vig(), _wire),
+    "det": ("determinant as [re,im]", "A", None, lambda a, tol: a.det(), _wire),
+    "inv": ("multiplicative inverse", "A", None, Paravector.inverse, _wire),
+    "module": ("square root of a real nonnegative determinant", "A", None,
                Paravector.module, _compact),
-    "normalize": ("rescale to determinant one", "A", None, False, Paravector.normalize, _wire),
-    "classify": ("proper/singular/orthogonal/special/unitar flags", "A", None, True,
+    "normalize": ("rescale to determinant one", "A", None, Paravector.normalize, _wire),
+    "classify": ("proper/singular/orthogonal/special/unitar flags", "A", None,
                  classify, _emit_classification),
-    "sprod": ("scalar product as [re,im]", "A B", None, False,
+    "sprod": ("scalar product as [re,im]", "A B", None,
               lambda a, b, tol: scalar_product(a, b), _wire),
-    "vprod": ("oriented vector product", "A B", _RIGHT, False,
+    "vprod": ("oriented vector product", "A B", _RIGHT,
               lambda a, b, o, tol: vector_product(a, b, o), _wire),
-    "angle": ("oriented angle between proper paravectors", "A B", _RIGHT, False,
+    "angle": ("oriented angle between proper paravectors", "A B", _RIGHT,
               lambda a, b, o, tol: angle(a, b, o, tol).value, _wire),
-    "compose-angle": ("product of two same-oriented angles", "P Q", _RIGHT, False,
+    "compose-angle": ("product of two same-oriented angles", "P Q", _RIGHT,
                       lambda p, q, o, tol: compose_angles(Angle(p, o), Angle(q, o)).value, _wire),
-    "rotate": ("rotate G by the normalized axis paravector", "G AXIS", _LEFT, False,
+    "rotate": ("rotate G by the normalized axis paravector", "G AXIS", _LEFT,
                lambda g, axis, o, tol: rotate(g, RotationAxis.from_paravector(axis, tol), o),
                _wire),
-    "mirror": ("mirror symmetry with normal W", "G W", None, False, mirror, _wire),
-    "axial": ("straight-angle rotation around W", "G W", None, False, axial_symmetry, _wire),
-    "euler": ("compose two spatial rotations", "R1 R2", None, True, euler_compose, _emit_rotation),
-    "matrep": ("4x4 matrix representation", "A", None, True,
-               lambda a, tol: to_matrix4(a), _emit_matrix),
-    "pauli": ("2x2 sigma-basis representation", "A", None, True,
+    "mirror": ("mirror symmetry with normal W", "G W", None, mirror, _wire),
+    "axial": ("straight-angle rotation around W", "G W", None, axial_symmetry, _wire),
+    "euler": ("compose two spatial rotations", "R1 R2", None, euler_compose, _emit_rotation),
+    "matrep": ("4x4 matrix representation", "A", None, lambda a, tol: to_matrix4(a), _emit_matrix),
+    "pauli": ("2x2 sigma-basis representation", "A", None,
               lambda a, tol: to_pauli(a), _emit_matrix),
 }
 
@@ -159,13 +142,13 @@ def build_parser():
         help="absolute and relative tolerance (default 1e-9, or PV_TOL)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, operands, orientation, takes_json, _, _) in _COMMANDS.items():
+    for name, (summary, operands, orientation, _, emit) in _COMMANDS.items():
         s = _subcommand(sub, name, summary)
         for operand in operands.split():
             s.add_argument(operand, help=_OPERANDS[operand][0])
         if orientation is not None:
             _orientation_flags(s, orientation)
-        if takes_json:
+        if "as_json" in emit.__code__.co_varnames[: emit.__code__.co_argcount]:
             s.add_argument("--json", action="store_true")
     s = _subcommand(sub, "fuzz", "run the seeded property-fuzz campaign")
     s.add_argument("--seed", type=int, default=42)
@@ -209,12 +192,12 @@ def _fuzz(args, tol):
 def _run(args, tol):
     if args.command not in _COMMANDS:
         return _fuzz(args, tol)
-    _, operands, orientation, takes_json, function, emit = _COMMANDS[args.command]
+    _, operands, orientation, function, emit = _COMMANDS[args.command]
     values = [_OPERANDS[name][1](_text(getattr(args, name))) for name in operands.split()]
     if orientation is not None:
         values.append(args.orientation)
     result = function(*values, tol)
-    print(emit(result, args.json) if takes_json else emit(result))
+    print(emit(result, args.json) if "json" in args else emit(result))
     return 0
 
 

@@ -409,7 +409,7 @@ def classify(p, tol=DEFAULT_TOL):
     """Evaluate the proper/singular/orthogonal/special/unitar flags."""
     d, sc, singular, proper = _det_verdict(p, tol)
     qthr = tol.quadratic(sc)
-    orthogonal = proper and abs(d - 1.0) <= qthr
+    orthogonal = _det_one(d, proper, qthr)
     lthr = tol.linear(sc)
     v = p.v
     special = (
@@ -429,14 +429,19 @@ def classify(p, tol=DEFAULT_TOL):
 
 
 def is_orthogonal_transform(p, tol=DEFAULT_TOL):
-    """True when ``p`` has determinant one, to ``tol``.
+    """True when ``p`` has determinant one, to ``tol``: ``classify``'s ``is_orthogonal``.
 
     The one determinant-one check; ``Angle`` and ``RotationAxis`` use it.
     Such paravectors preserve scalar products and determinants."""
     if not isinstance(p, Paravector):
         raise ValidationError(f"expected a Paravector, not {type(p).__name__}")
-    d, sc, _, _ = _det_verdict(p, tol)
-    return abs(d - 1.0) <= tol.quadratic(sc)
+    d, sc, _, proper = _det_verdict(p, tol)
+    return _det_one(d, proper, tol.quadratic(sc))
+
+
+def _det_one(d, proper, thr):
+    """The one determinant-one rule: proper, and ``|d - 1| <= thr``, ``thr`` quadratic."""
+    return proper and abs(d - 1.0) <= thr
 
 
 def _det_verdict(p, tol):

@@ -1479,7 +1479,6 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
         props = [p for p in _PROPS if p.suite in set(suites)]
     else:
         props = list(_PROPS)
-    passes = [0] * len(props)
     fails = [0] * len(props)
     counterexamples = [None] * len(props)
     with _mutated(mutant):
@@ -1487,14 +1486,12 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
             pack = make_pack(seed, i)
             for j, prop in enumerate(props):
                 try:
-                    ok = bool(prop.check(pack, tol))
+                    ok = prop.check(pack, tol)
                     error = None
                 except Exception as exc:
                     ok = False
                     error = repr(exc)
-                if ok:
-                    passes[j] += 1
-                else:
+                if not ok:
                     fails[j] += 1
                     if counterexamples[j] is None:
                         view = _Recording(pack)
@@ -1505,7 +1502,7 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                             ce["error"] = error
                         counterexamples[j] = ce
     results = tuple(
-        PropertyResult(prop.full_name, passes[j], fails[j], counterexamples[j])
+        PropertyResult(prop.full_name, trials - fails[j], fails[j], counterexamples[j])
         for j, prop in enumerate(props)
     )
     return FuzzReport(seed, trials, tol, mutant, results)

@@ -3,8 +3,9 @@
 A paravector travels as a JSON array of eight decimal reals in the fixed
 order ``[a, d, bx, by, bz, cx, cy, cz]``: the scalar is ``a + i d`` and
 the vector is ``(bx + i cx, by + i cy, bz + i cz)``; ``to_wire`` gives the
-form of the others.  Serialization uses Python's shortest round-trip
-float formatting, so parse/serialize round-trips are bit exact.
+form of the others, and every ``pv`` operand is parsed here.  Serialization
+uses Python's shortest round-trip float formatting, so parse/serialize
+round-trips are bit exact.
 """
 
 from __future__ import annotations
@@ -61,12 +62,10 @@ def _wire_paravector(numbers, check):
 
     Each is checked to be a finite real when ``check`` is true; otherwise
     they must already be finite floats."""
-    try:
-        count = len(numbers)
-    except TypeError:
-        raise ArityError(f"expected 8 numbers, not {type(numbers).__name__}") from None
-    if count != 8:
-        raise ArityError(f"expected 8 numbers, got {count}")
+    if not isinstance(numbers, (list, tuple)):  # a dict or set of eight has no order
+        raise ArityError(f"expected 8 numbers, not {type(numbers).__name__}")
+    if len(numbers) != 8:
+        raise ArityError(f"expected 8 numbers, got {len(numbers)}")
     if check:
         numbers = [_as_real(n, "wire components") for n in numbers]
     a, d, bx, by, bz, cx, cy, cz = numbers
@@ -74,7 +73,7 @@ def _wire_paravector(numbers, check):
 
 
 def from_wire(numbers):
-    """Build a paravector from the eight wire components (finite reals)."""
+    """Build a paravector from a list or tuple of the eight wire components (finite reals)."""
     return _wire_paravector(numbers, True)
 
 
@@ -101,6 +100,22 @@ def to_wire(x):
 def parse_paravector(text):
     """Parse the wire form of one paravector."""
     return _wire_paravector(load_number_array(text), False)
+
+
+def _parse_vector(text):
+    numbers = load_number_array(text)
+    if len(numbers) == 3:
+        return tuple(map(complex, numbers))
+    if len(numbers) == 6:
+        return tuple(map(complex, numbers[:3], numbers[3:]))
+    raise ArityError(f"expected 3 or 6 numbers for a vector, got {len(numbers)}")
+
+
+def _parse_rotation(text):
+    numbers = load_number_array(text)
+    if len(numbers) != 4:
+        raise ArityError(f"expected 4 numbers [nx,ny,nz,phi], got {len(numbers)}")
+    return SpatialRotation.about(numbers[:3], numbers[3])
 
 
 def serialize_paravector(p):

@@ -10,18 +10,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from _strategies import paravectors, proper_paravectors
+from _strategies import paravectors, proper_paravectors, real_vectors
 from paravec import (
     DEFAULT_TOL,
     ONE,
     ZERO,
     ImproperParavector,
+    InvariantViolation,
     Paravector,
+    RotationAxis,
     SingularParavector,
     Tolerance,
     ValidationError,
+    angle,
     approx_eq,
     classify,
+    is_orthogonal_transform,
     mul,
 )
 from paravec.wire import from_wire
@@ -291,6 +295,64 @@ class TestClassify:
         product = singular * b
         scale = max(1.0, max(abs(z) for z in (product.s,) + product.v))
         assert abs(product.det()) <= 1e-9 * scale * scale
+
+
+def _boost(r, n):
+    """``{cosh r | sinh r n}`` for a real direction ``n``: determinant one in exact arithmetic."""
+    k = math.sinh(r) / math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+    return Paravector(math.cosh(r), (k * n[0], k * n[1], k * n[2]))
+
+
+@st.composite
+def _det_one_candidates(draw):
+    """Paravectors, the same scaled by 2**k, and boosts: determinants near one at every scale."""
+    kind = draw(st.sampled_from(["plain", "scaled", "boost"]))
+    if kind == "boost":
+        return _boost(draw(st.floats(0, 14)), draw(real_vectors()))
+    p = draw(paravectors())
+    return p * 2.0 ** draw(st.integers(0, 20)) if kind == "scaled" else p
+
+
+_tolerances = st.builds(Tolerance, st.floats(0, 1), st.floats(0, 1e-6))
+
+
+class TestOneDeterminantOneRule:
+    """``classify`` and ``is_orthogonal_transform`` decide determinant one by the same rule."""
+
+    @given(_det_one_candidates(), st.one_of(st.just(DEFAULT_TOL), _tolerances))
+    @example(_boost(12, (1, 0, 0)), DEFAULT_TOL)
+    @example(Paravector(math.sqrt(0.5), (0, 0, 0)), Tolerance(0.6, 0))
+    def test_classify_and_is_orthogonal_transform_agree(self, p, tol):
+        c = classify(p, tol)
+        assert c.is_orthogonal == is_orthogonal_transform(p, tol)
+        if c.is_orthogonal:
+            assert c.is_proper
+
+    def test_a_singular_boost_is_not_orthogonal(self):
+        g = _boost(12, (1, 0, 0))  # determinant 1 + 1.9e-6, threshold 6.6 at scale 8.1e4
+        c = classify(g)
+        assert c.is_singular and not c.is_orthogonal
+        assert not is_orthogonal_transform(g)
+        with pytest.raises(SingularParavector):
+            g.inverse()
+        with pytest.raises(ImproperParavector):
+            RotationAxis(g)
+
+    def test_an_angle_between_singular_boosts_is_refused(self):
+        for r, refused in ((6, True), (5, False)):
+            a = Paravector(math.cosh(r), (math.sinh(r), 0, 0))
+            b = Paravector(math.cosh(r), (-math.sinh(r), 0, 0))
+            if refused:  # its value would be {8.1e4 | ...}: singular to DEFAULT_TOL
+                with pytest.raises(InvariantViolation):
+                    angle(a, b)
+            else:
+                assert angle(a, b).value.s.real == pytest.approx(math.cosh(2 * r))
+
+    def test_a_loose_tolerance_does_not_make_a_singular_operand_orthogonal(self):
+        h = Paravector(math.sqrt(0.5), (0, 0, 0))  # determinant 0.5, within 0.6 of 0 and of 1
+        tol = Tolerance(0.6, 0)
+        assert classify(h, tol).is_singular
+        assert not is_orthogonal_transform(h, tol)
 
 
 class TestRingAxioms:

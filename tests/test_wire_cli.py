@@ -1,8 +1,11 @@
 """Wire format round-trips and the command line contract."""
 
+import contextlib
+import io
 import json
 import math
 import struct
+import sys
 
 import pytest
 from hypothesis import given
@@ -10,9 +13,11 @@ from hypothesis import strategies as st
 
 from _strategies import components
 from paravec import ONE, ArityError, Paravector, ParseError, RotationAxis, SpatialRotation
-from paravec.cli import _parse_rotation, _parse_vector, main
-from paravec.fuzz import make_pack
+from paravec.cli import _COMMANDS, main
+from paravec.fuzz import MUTANTS, make_pack
 from paravec.wire import (
+    _parse_rotation,
+    _parse_vector,
     from_wire,
     load_number_array,
     parse_paravector,
@@ -70,6 +75,15 @@ class TestWire:
         assert text == json.dumps(to_wire(p), separators=(",", ":"))
         again = parse_paravector(text)
         assert struct.pack("8d", *to_wire(again)) == struct.pack("8d", *to_wire(p))
+
+    @pytest.mark.parametrize(
+        "numbers",
+        [{i: 9.0 for i in range(8)}, set(range(8)), (float(i) for i in range(8)), "12345678"],
+        ids=["dict", "set", "generator", "str"],
+    )
+    def test_from_wire_takes_only_a_list_or_tuple(self, numbers):
+        with pytest.raises(ArityError, match=f"not {type(numbers).__name__}$"):
+            from_wire(numbers)
 
     def test_load_number_array_keeps_order(self):
         assert load_number_array("[3,1,2]") == [3.0, 1.0, 2.0]
@@ -373,3 +387,47 @@ class TestCliFuzz:
         out = capsys.readouterr().out
         assert code == 3
         assert "FAIL" in out
+
+
+_EDGE_NUMBERS = [0, -0.0, 5e-324, 1e-160, 1e154, 1e308, -1e308]
+_numbers = st.one_of(
+    st.sampled_from(_EDGE_NUMBERS),
+    st.integers(-5, 5),
+    st.floats(-10, 10, allow_nan=False),
+)
+_operand_text = st.one_of(st.text(max_size=40), st.lists(_numbers, max_size=9).map(json.dumps))
+
+
+@st.composite
+def _pv_calls(draw):
+    """A ``pv`` argument list and the stdin text an operand ``-`` reads."""
+    name = draw(st.sampled_from([*_COMMANDS, "fuzz"]))
+    argv = [name]
+    if name == "fuzz":
+        argv += ["--trials", str(draw(st.integers(-1, 2)))]
+        if draw(st.booleans()):
+            argv += ["--seed", draw(st.one_of(st.text(max_size=8), st.integers(-1, 2**64).map(str)))]
+        if draw(st.booleans()):
+            argv += ["--mutant", draw(st.one_of(st.text(max_size=8), st.sampled_from(list(MUTANTS))))]
+    else:
+        argv += [draw(st.one_of(_operand_text, st.just("-"))) for _ in _COMMANDS[name][1].split()]
+    for flag in ("--left", "--right", "--json"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--tol", draw(st.one_of(st.text(max_size=8), _numbers.map(str)))]
+    return argv, draw(_operand_text)
+
+
+@given(_pv_calls())
+def test_every_pv_call_exits_with_a_documented_code(call):
+    # in process: main returns its exit code and raises nothing, whatever the text
+    argv, stdin = call
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in ((0, 2, 3) if argv[0] == "fuzz" else (0, 1, 2)), argv
