@@ -472,7 +472,7 @@ def _pv_scale(p):
 
 
 def component_scale(*items):
-    """Largest absolute real component among paravectors, vectors, numbers."""
+    """Largest absolute real component among paravectors, vectors and finite numbers."""
     m = 0.0
     for item in items:
         if isinstance(item, Paravector):
@@ -486,7 +486,7 @@ def component_scale(*items):
             values = (item,)
         for z in values:
             if type(z) is not complex:
-                z = complex(z)
+                z = _as_complex(z, "components")
             r = abs(z.real)
             if r > m:
                 m = r

@@ -35,7 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager, suppress
-from functools import cached_property
+from functools import partial
+from operator import methodcaller
 
 from . import core, matrices
 from .core import (
@@ -105,10 +106,7 @@ class SplitMix64:
 
     def u01(self):
         """Uniform double in [0, 1) with 53 random bits."""
-        x = self._state = (self._state + _GAMMA) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return ((x ^ (x >> 31)) >> 11) * 2.0**-53
+        return self.uniform(0.0, 1.0)  # 0.0 + 1.0 * u is u, bit for bit
 
     def uniform(self, lo, hi):
         """``lo + (hi - lo) * u01()``, with the generator step inlined."""
@@ -330,7 +328,7 @@ def _corner_triple(rng):
 
 
 class TrialPack:
-    """All the operand families one trial needs, drawn in a fixed order."""
+    """The operand families the checks read, drawn in a fixed order."""
 
     def __init__(self, rng):
         if rng.u01() < 0.10:
@@ -353,29 +351,23 @@ class TrialPack:
         self.sphere = _sphere_point(rng)
         self.special1 = _special(rng)
         self.special2 = _special(rng)
-        self.unitar1 = _unitar(rng)
+        _unitar(rng)  # drawn to keep the stream; no law reads a unitar yet
         self.realpv1 = _real_paravector(rng)
         self.realpv2 = _real_paravector(rng)
         self.hyp1, self.hyp2 = _hyperbolic_pair(rng)
         self.sp_a, self.sp_b = _spatial_pair(rng)
-        self.n1 = _unit_vector(rng)
-        self.n2 = _unit_vector(rng)
-        self.phi1 = rng.uniform(0.0, math.pi)
-        self.phi2 = rng.uniform(0.0, math.pi)
+        n1, n2 = _unit_vector(rng), _unit_vector(rng)
+        phi1, phi2 = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
         self.w1 = _real_vector(rng)
         self.w2 = _real_vector(rng)
         self.om1 = _complex_normal(rng)
         self.om2 = _complex_normal(rng)
-        self.rot1 = SpatialRotation(self.n1, self.phi1)
-        self.rot2 = SpatialRotation(self.n2, self.phi2)
-
-    @cached_property
-    def axis1(self):
-        return RotationAxis.from_paravector(self.proper1)
-
-    @cached_property
-    def axis2(self):
-        return RotationAxis.from_paravector(self.proper2)
+        self.rot1 = SpatialRotation(n1, phi1)
+        self.rot2 = SpatialRotation(n2, phi2)
+        # normalize scales through _scale and the check uses the closed-form
+        # det, so no mutant reaches the axes
+        self.axis1 = RotationAxis.from_paravector(self.proper1)
+        self.axis2 = RotationAxis.from_paravector(self.proper2)
 
 
 def make_pack(seed, index):
@@ -439,6 +431,24 @@ def _prop(suite, name):
     return deco
 
 
+def _mirrored(suite, pattern, variants):
+    """Register ``body(variant, p, tol)`` as ``pattern.format(label)`` per pair, in order."""
+
+    def deco(body):
+        for label, variant in variants:
+            _PROPS.append(Property(suite, pattern.format(label), partial(body, variant)))
+        return body
+
+    return deco
+
+
+# A mutant replaces its target on the class or module, so a variant must look
+# the operation up when it is called: ``methodcaller``, not ``Paravector.rev``.
+_INVOLUTIONS = (("rev", methodcaller("rev")), ("conj", methodcaller("conj")))
+_ORIENTATIONS = tuple((o.value, o) for o in (RIGHT, LEFT))
+_ACTIONS = (("left", lambda lam, g: lam * g), ("right", lambda lam, g: g * lam))
+
+
 # -- ring axioms ------------------------------------------------------------
 
 
@@ -485,34 +495,19 @@ def _(p, tol):
 # -- involution table ---------------------------------------------------------
 
 
-@_prop("involution", "rev-involution")
-def _(p, tol):
-    return approx_eq(p.a.rev().rev(), p.a, tol)
+@_mirrored("involution", "{}-involution", _INVOLUTIONS)
+def _(inv, p, tol):
+    return approx_eq(inv(inv(p.a)), p.a, tol)
 
 
-@_prop("involution", "conj-involution")
-def _(p, tol):
-    return approx_eq(p.a.conj().conj(), p.a, tol)
+@_mirrored("involution", "{}-additive", _INVOLUTIONS)
+def _(inv, p, tol):
+    return approx_eq(inv(p.a + p.b), inv(p.a) + inv(p.b), tol)
 
 
-@_prop("involution", "rev-additive")
-def _(p, tol):
-    return approx_eq((p.a + p.b).rev(), p.a.rev() + p.b.rev(), tol)
-
-
-@_prop("involution", "conj-additive")
-def _(p, tol):
-    return approx_eq((p.a + p.b).conj(), p.a.conj() + p.b.conj(), tol)
-
-
-@_prop("involution", "rev-antimultiplicative")
-def _(p, tol):
-    return approx_eq((p.a * p.b).rev(), p.b.rev() * p.a.rev(), tol)
-
-
-@_prop("involution", "conj-antimultiplicative")
-def _(p, tol):
-    return approx_eq((p.a * p.b).conj(), p.b.conj() * p.a.conj(), tol)
+@_mirrored("involution", "{}-antimultiplicative", _INVOLUTIONS)
+def _(inv, p, tol):
+    return approx_eq(inv(p.a * p.b), inv(p.b) * inv(p.a), tol)
 
 
 @_prop("involution", "rev-conj-commute")
@@ -664,33 +659,18 @@ def _(p, tol):
     return _close_c(sp * sp - vdot(vv, vv), target, tol)
 
 
-@_prop("product", "right-add-bilinear")
-def _(p, tol):
-    lhs = integrated(p.a + p.b, p.c, RIGHT)
-    rhs = integrated(p.a, p.c, RIGHT) + integrated(p.b, p.c, RIGHT)
+@_mirrored("product", "{}-add-bilinear", _ORIENTATIONS)
+def _(o, p, tol):
+    lhs = integrated(p.a + p.b, p.c, o)
+    rhs = integrated(p.a, p.c, o) + integrated(p.b, p.c, o)
     return approx_eq(lhs, rhs, tol)
 
 
-@_prop("product", "left-add-bilinear")
-def _(p, tol):
-    lhs = integrated(p.a + p.b, p.c, LEFT)
-    rhs = integrated(p.a, p.c, LEFT) + integrated(p.b, p.c, LEFT)
-    return approx_eq(lhs, rhs, tol)
-
-
-@_prop("product", "scalar-homogeneous-right")
-def _(p, tol):
-    base = integrated(p.a, p.b, RIGHT) * p.lam
-    left_scaled = integrated(p.a * p.lam, p.b, RIGHT)
-    right_scaled = integrated(p.a, p.b * p.lam, RIGHT)
-    return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
-
-
-@_prop("product", "scalar-homogeneous-left")
-def _(p, tol):
-    base = integrated(p.a, p.b, LEFT) * p.lam
-    left_scaled = integrated(p.a * p.lam, p.b, LEFT)
-    right_scaled = integrated(p.a, p.b * p.lam, LEFT)
+@_mirrored("product", "scalar-homogeneous-{}", _ORIENTATIONS)
+def _(o, p, tol):
+    base = integrated(p.a, p.b, o) * p.lam
+    left_scaled = integrated(p.a * p.lam, p.b, o)
+    right_scaled = integrated(p.a, p.b * p.lam, o)
     return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
 
 
@@ -1173,18 +1153,23 @@ def _(p, tol):
 # -- matrix representations --------------------------------------------------
 
 
-@_prop("matrix", "mat4-multiplicative")
-def _(p, tol):
-    lhs = matrices.to_matrix4(p.a * p.b)
-    rhs = matrices.to_matrix4(p.a) @ matrices.to_matrix4(p.b)
-    return lhs.approx_eq(rhs, tol)
+def _embeds_products(embed, p, tol):
+    to = getattr(matrices, embed)
+    return to(p.a * p.b).approx_eq(to(p.a) @ to(p.b), tol)
 
 
-@_prop("matrix", "mat4-additive")
-def _(p, tol):
-    lhs = matrices.to_matrix4(p.a + p.b)
-    rhs = matrices.to_matrix4(p.a) + matrices.to_matrix4(p.b)
-    return lhs.approx_eq(rhs, tol)
+def _embeds_sums(embed, p, tol):
+    to = getattr(matrices, embed)
+    return to(p.a + p.b).approx_eq(to(p.a) + to(p.b), tol)
+
+
+def _embedding_laws(label, embed):
+    """The two homomorphism rows of ``matrices.<embed>``, looked up when called."""
+    for law, body in (("multiplicative", _embeds_products), ("additive", _embeds_sums)):
+        _PROPS.append(Property("matrix", f"{label}-{law}", partial(body, embed)))
+
+
+_embedding_laws("mat4", "to_matrix4")
 
 
 @_prop("matrix", "mat4-det-squares")
@@ -1236,16 +1221,7 @@ def _(p, tol):
     return singular_side and nonsingular_side
 
 
-@_prop("matrix", "pauli-multiplicative")
-def _(p, tol):
-    lhs = matrices.to_pauli(p.a * p.b)
-    return lhs.approx_eq(matrices.to_pauli(p.a) @ matrices.to_pauli(p.b), tol)
-
-
-@_prop("matrix", "pauli-additive")
-def _(p, tol):
-    lhs = matrices.to_pauli(p.a + p.b)
-    return lhs.approx_eq(matrices.to_pauli(p.a) + matrices.to_pauli(p.b), tol)
+_embedding_laws("pauli", "to_pauli")
 
 
 @_prop("matrix", "pauli-det")
@@ -1266,16 +1242,10 @@ def _(p, tol):
     return approx_eq(lhs_left, integrated(p.a, p.b, LEFT), tol)
 
 
-@_prop("orthogonal", "vig-parallel-left-action")
-def _(p, tol):
+@_mirrored("orthogonal", "vig-parallel-{}-action", _ACTIONS)
+def _(act, p, tol):
     lam = p.axis1.value
-    return is_parallel((lam * p.par1).vig(), (lam * p.par2).vig(), tol)
-
-
-@_prop("orthogonal", "vig-parallel-right-action")
-def _(p, tol):
-    lam = p.axis1.value
-    return is_parallel((p.par1 * lam).vig(), (p.par2 * lam).vig(), tol)
+    return is_parallel(act(lam, p.par1).vig(), act(lam, p.par2).vig(), tol)
 
 
 @_prop("orthogonal", "right-action-star-scalar")
@@ -1352,6 +1322,7 @@ def _to_matrix4_transposed(g):
     )
 
 
+# one (owner, attribute, replacement) slot each, in the 1-tuple bench/run.py iterates
 MUTANTS = {
     "mul-drop-cross": ((core, "mul", _mul_drop_cross),),
     "rev-sign": ((Paravector, "rev", _rev_sign_error),),
@@ -1364,20 +1335,15 @@ def _mutated(name):
     if name is None:
         yield
         return
-    try:
-        targets = MUTANTS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown mutant {name!r}; choose from {sorted(MUTANTS)}"
-        ) from None
-    saved = [(obj, attr, getattr(obj, attr)) for obj, attr, _ in targets]
-    for obj, attr, replacement in targets:
-        setattr(obj, attr, replacement)
+    if name not in MUTANTS:
+        raise ValueError(f"unknown mutant {name!r}; choose from {sorted(MUTANTS)}")
+    ((obj, attr, replacement),) = MUTANTS[name]
+    original = getattr(obj, attr)
+    setattr(obj, attr, replacement)
     try:
         yield
     finally:
-        for obj, attr, original in saved:
-            setattr(obj, attr, original)
+        setattr(obj, attr, original)
 
 
 # ---------------------------------------------------------------------------

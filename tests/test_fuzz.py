@@ -1,5 +1,6 @@
 """Determinism and plumbing of the property-fuzz engine."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -70,6 +71,17 @@ class TestPackGeneration:
             assert abs(p.sing1.det()) < 1e-9
             assert abs(p.sphere.det()) < 1e-9
             assert isinstance(p.par2, Paravector)
+
+    def test_the_pack_holds_exactly_what_the_checks_read(self):
+        read = set()
+        for i in range(30):
+            pack = make_pack(42, i)
+            for prop in _PROPS:
+                view = _Recording(pack)
+                with contextlib.suppress(Exception):
+                    prop.check(view, DEFAULT_TOL)
+                read |= view.inputs.keys()
+        assert read == set(vars(make_pack(42, 0)))
 
     def test_corner_cases_do_appear(self):
         from paravec import ZERO

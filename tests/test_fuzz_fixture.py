@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from paravec.fuzz import MUTANTS, run_fuzz
+from paravec.fuzz import _PROPS, MUTANTS, run_fuzz
 
 FIXTURE = Path(__file__).parent / "data" / "fuzz_seed42_300.json"
 SEED, TRIALS = 42, 300
@@ -49,6 +49,14 @@ def fixture():
 def test_verdicts_match_fixture(fixture, mutant):
     assert fixture["seed"] == SEED and fixture["trials"] == TRIALS
     assert verdicts(mutant) == fixture["runs"][_run_key(mutant)]
+
+
+def test_registry_order_is_the_report_order(fixture):
+    # to_dict() lists properties in registry order; the dict comparison
+    # above would not see a reordered registry
+    names = [p.full_name for p in _PROPS]
+    for run in fixture["runs"].values():
+        assert list(run) == names
 
 
 def _write_fixture():

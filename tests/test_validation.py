@@ -70,6 +70,12 @@ MALFORMED = {
     "matrix-huge-int": lambda: Matrix4([[10**400, 0, 0, 0]] + [[0, 0, 0, 0]] * 3),
     "matrix2-numeric-text": lambda: Matrix2([["1", 0], [0, 1]]),
     "matrix2-of-a-number": lambda: Matrix2(5),
+    "scale-numeric-text": lambda: core.component_scale("12"),
+    "scale-text-list": lambda: core.component_scale(["1", "2e3"]),
+    "scale-nan-list": lambda: core.component_scale([math.nan]),
+    "scale-nan-number": lambda: core.component_scale(math.nan, 3.0),
+    "scale-inf-list": lambda: core.component_scale([math.inf]),
+    "scale-set": lambda: core.component_scale({1, 2}),
 }
 
 
@@ -91,6 +97,13 @@ def test_well_formed_input_is_converted():
     tol = Tolerance(1, 0)
     assert (type(tol.abs), type(tol.rel)) == (float, float)
     assert rotate_vector([1, 0, 0], SpatialRotation((0, 0, 1), 0.0)) == (1.0, 0.0, 0.0)
+
+
+def test_component_scale_of_well_formed_items():
+    assert core.component_scale() == 0.0
+    assert core.component_scale(2.5, -7) == 7.0
+    assert core.component_scale([1, -2.5], (3 - 4j,)) == 4.0
+    assert core.component_scale(Paravector(0.5, (0, 0, 6j)), 1) == 6.0
 
 
 def test_is_orthogonal_transform_is_one_object():
