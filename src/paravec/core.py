@@ -23,6 +23,7 @@ from .errors import ImproperParavector, SingularParavector, ValidationError
 
 _NUMBER_TYPES = (int, float, complex)
 _COMPONENTS = "paravector components"
+_INF = math.inf
 
 
 def _as_complex(z, what="numbers"):
@@ -488,9 +489,11 @@ def component_scale(*items):
             if type(z) is not complex:
                 z = _as_complex(z, "components")
             r = abs(z.real)
+            i = abs(z.imag)
+            if not (r < _INF and i < _INF):  # complex entries skip _as_complex
+                raise ValidationError("components must be finite")
             if r > m:
                 m = r
-            i = abs(z.imag)
             if i > m:
                 m = i
     return m

@@ -19,7 +19,17 @@ trials are independent streams and a report is a pure function of
 (seed, trials, tolerance).  Components are drawn uniformly from [-2, 2];
 with 10% probability a trial swaps in a structured corner case (zero,
 identity, a singular pair, special/unitar forms, scaled copies, extreme
-and tiny components).
+and tiny components).  Generation calls no library norm.  The rotations and
+axes are built by the library when a check first reads them, so a defect
+that raises there fails, with its error, only the properties that read them.
+
+Laws and judgement
+------------------
+Each suite is a table of ``(name, law)`` rows in report order, QuickCheck's
+"laws as data" (Claessen and Hughes, ICFP 2000).  A law returns or yields
+claims, which ``_holds`` asserts in order; ``_near`` gives a law a verdict to
+combine.  Both weigh through ``_weigh``, the one place that sets an error
+against a threshold.
 
 Mutation self-test
 ------------------
@@ -35,8 +45,8 @@ from __future__ import annotations
 import cmath
 import math
 from contextlib import contextmanager, suppress
-from functools import partial
-from operator import methodcaller
+from functools import cached_property, partial
+from operator import methodcaller, sub
 
 from . import core, matrices
 from .core import (
@@ -44,10 +54,11 @@ from .core import (
     ONE,
     ZERO,
     Paravector,
+    Tolerance,
     _make,
+    _pv_scale,
     _scale,
     _Value,
-    approx_eq,
     classify,
     component_scale,
     vcross,
@@ -127,9 +138,9 @@ def trial_seed(seed, index):
 # ---------------------------------------------------------------------------
 # Trial generation.  Everything here builds paravectors from raw components
 # and calls only helpers that no mutant replaces (``scalar_product(p, p)`` is
-# the determinant from raw components), so a mutant cannot skew generation.
-# Draws whose components are complex and finite by construction go through
-# the trusted ``_make``.
+# the determinant from raw components); generation calls no library norm, so
+# a mutant cannot skew generation.  Draws whose components are complex and
+# finite by construction go through the trusted ``_make``.
 # ---------------------------------------------------------------------------
 
 
@@ -155,6 +166,11 @@ def _draw_real(rng, min_abs=0.0):
         x = rng.uniform(-2, 2)
         if abs(x) >= min_abs:
             return x
+
+
+def _norm(v):
+    """The Euclidean norm of a 3-vector, from the moduli of its components."""
+    return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
 
 
 def _nonsingular(rng, min_det=0.1):
@@ -191,7 +207,7 @@ def _perp_pair(rng):
 def _unit_vector(rng):
     while True:
         v = [rng.uniform(-1, 1) for _ in range(3)]
-        n = vnorm(v)
+        n = _norm(v)
         if n >= 0.3:
             return (v[0] / n, v[1] / n, v[2] / n)
 
@@ -199,7 +215,7 @@ def _unit_vector(rng):
 def _real_vector(rng, min_norm=0.2):
     while True:
         v = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if vnorm(v) >= min_norm:
+        if _norm(v) >= min_norm:
             return v
 
 
@@ -259,7 +275,7 @@ def _hyperbolic_pair(rng):
 
 def _sphere_point(rng):
     x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-    return _make(complex(vnorm(x)), (complex(x[0]), complex(x[1]), complex(x[2])))
+    return _make(complex(_norm(x)), (complex(x[0]), complex(x[1]), complex(x[2])))
 
 
 def _spatial_pair(rng):
@@ -271,7 +287,7 @@ def _spatial_pair(rng):
         q = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
         a = _make(s1, q)
         b = _make(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
-        qn = vnorm(q)
+        qn = _norm(q)
         if (
             abs(scalar_product(a, a)) > 0.1
             and abs(scalar_product(b, b)) > 0.1
@@ -328,7 +344,19 @@ def _corner_triple(rng):
 
 
 class TrialPack:
-    """The operand families the checks read, drawn in a fixed order."""
+    """The operand families the checks read, drawn in a fixed order.
+
+    ``rot1``, ``rot2``, ``axis1`` and ``axis2`` are built from their draws on
+    first read, so an error raised building one is raised by each check
+    that reads it, and ``run_fuzz`` reports it as that property's failure.
+    """
+
+    _FAMILIES = (
+        "a", "b", "c", "lam", "mu", "s_real", "tau", "nonsing1", "nonsing2", "proper1",
+        "proper2", "perp1", "perp2", "par1", "par2", "sing1", "sing2", "sphere", "special1",
+        "special2", "realpv1", "realpv2", "hyp1", "hyp2", "sp_a", "sp_b", "w1", "w2", "om1",
+        "om2", "rot1", "rot2", "axis1", "axis2",
+    )
 
     def __init__(self, rng):
         if rng.u01() < 0.10:
@@ -358,16 +386,16 @@ class TrialPack:
         self.sp_a, self.sp_b = _spatial_pair(rng)
         n1, n2 = _unit_vector(rng), _unit_vector(rng)
         phi1, phi2 = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+        self._draws = (n1, phi1), (n2, phi2)
         self.w1 = _real_vector(rng)
         self.w2 = _real_vector(rng)
         self.om1 = _complex_normal(rng)
         self.om2 = _complex_normal(rng)
-        self.rot1 = SpatialRotation(n1, phi1)
-        self.rot2 = SpatialRotation(n2, phi2)
-        # normalize scales through _scale and the check uses the closed-form
-        # det, so no mutant reaches the axes
-        self.axis1 = RotationAxis.from_paravector(self.proper1)
-        self.axis2 = RotationAxis.from_paravector(self.proper2)
+
+    rot1 = cached_property(lambda self: SpatialRotation(*self._draws[0]))
+    rot2 = cached_property(lambda self: SpatialRotation(*self._draws[1]))
+    axis1 = cached_property(lambda self: RotationAxis.from_paravector(self.proper1))
+    axis2 = cached_property(lambda self: RotationAxis.from_paravector(self.proper2))
 
 
 def make_pack(seed, index):
@@ -376,27 +404,71 @@ def make_pack(seed, index):
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers.  Equality checks scale to the compared values; checks
-# against zero take an explicit scale from the inputs that produced them.
+# Judgement: the two comparison points and the weighing they share.
 # ---------------------------------------------------------------------------
 
 
-def _close_c(x, y, tol):
-    return abs(x - y) <= tol.linear(max(abs(x), abs(y)))
+def _weigh(tol, x, y, scale=None):
+    """``(error, threshold)`` of the claim that ``x`` equals ``y``.
+
+    The error is the largest modulus of a componentwise difference and the
+    threshold is ``tol.linear(scale)``.  Unless the claim gives it, the scale
+    is the largest real or imaginary part of either side for paravectors and
+    matrices, and the largest modulus for numbers and vectors.
+    """
+    if type(x) is Paravector:
+        u, w = x.v, y.v
+        error = max(abs(x.s - y.s), abs(u[0] - w[0]), abs(u[1] - w[1]), abs(u[2] - w[2]))
+        if scale is None:
+            sx, sy = _pv_scale(x), _pv_scale(y)
+            scale = sx if sx > sy else sy
+    elif type(x) is complex or type(x) is float:
+        error = abs(x - y)
+        if scale is None:
+            scale = max(abs(x), abs(y))
+    else:
+        if type(x) is not tuple:  # a matrix
+            if scale is None:
+                scale = matrices._entry_scale(x, y)
+            x, y = sum(x.rows, ()), sum(y.rows, ())
+        error = max(map(abs, map(sub, x, y)))
+        if scale is None:
+            scale = max(max(map(abs, x)), max(map(abs, y)))
+    return error, tol.linear(scale)
 
 
-def _close_v(u, v, tol):
-    sc = max(max(abs(x) for x in u), max(abs(x) for x in v))
-    thr = tol.linear(sc)
-    return all(abs(x - y) <= thr for x, y in zip(u, v))
+def _holds(law, p, tol):
+    """The assertion point: every claim of ``law(p, tol)`` holds.
+
+    A claim is a verdict that must be true, or ``(lhs, rhs)`` or ``(lhs, rhs,
+    scale)`` whose sides must agree.  Claims are taken in order and the first
+    false one ends the law, so a law reads its operands, and may raise, only
+    as far as it got.
+    """
+    claims = law(p, tol)
+    if type(claims) is tuple:
+        error, threshold = _weigh(tol, *claims)
+        return error <= threshold
+    if type(claims) is bool:
+        return claims
+    for claim in claims:
+        if type(claim) is not bool:
+            error, threshold = _weigh(tol, *claim)
+            claim = error <= threshold
+        if not claim:
+            return False
+    return True
 
 
-def _zero_c(x, tol, scale):
-    return abs(x) <= tol.linear(scale)
+def _near(x, y, tol, scale=None):
+    """The verdict point: whether ``x`` and ``y`` agree, for a law to combine."""
+    error, threshold = _weigh(tol, x, y, scale)
+    return error <= threshold
 
 
 # ---------------------------------------------------------------------------
-# Property registry.
+# Property registry.  Each suite is one table of ``(name, law)`` rows, in
+# report order.
 # ---------------------------------------------------------------------------
 
 
@@ -411,7 +483,7 @@ class Property(_Value):
         return f"{self.suite}/{self.name}"
 
     def __reduce__(self):
-        # the check is a function named ``_`` and does not pickle by reference
+        # the check wraps a law, often a lambda, and does not pickle by reference
         return _registered, (self.full_name,)
 
 
@@ -423,23 +495,31 @@ def _registered(full_name):
     return next(p for p in _PROPS if p.full_name == full_name)
 
 
-def _prop(suite, name):
-    def deco(fn):
-        _PROPS.append(Property(suite, name, fn))
-        return fn
-
-    return deco
+def _laws(suite, *rows):
+    """Register each ``(name, law)`` row as a property of ``suite``, in order."""
+    for name, law in rows:
+        _PROPS.append(Property(suite, name, partial(_holds, law)))
 
 
-def _mirrored(suite, pattern, variants):
-    """Register ``body(variant, p, tol)`` as ``pattern.format(label)`` per pair, in order."""
+def _variants(pattern, variants, law):
+    """One row per ``(label, variant)``: ``pattern.format(label)`` and ``law(variant, p, tol)``."""
+    return [(pattern.format(label), partial(law, variant)) for label, variant in variants]
 
-    def deco(body):
-        for label, variant in variants:
-            _PROPS.append(Property(suite, pattern.format(label), partial(body, variant)))
-        return body
 
-    return deco
+def _zero_iff_singular(quantity, degree):
+    """The law that ``quantity`` of ``sing1`` is zero and that of ``nonsing1`` is not.
+
+    Both are computed before either is judged; each is weighed at its
+    operand's component scale to the power ``degree``.
+    """
+
+    def law(p, tol):
+        s, n = p.sing1, p.nonsing1
+        zero, nonzero = quantity(s), quantity(n)
+        yield zero, 0.0, component_scale(s) ** degree
+        yield not _near(nonzero, 0.0, tol, component_scale(n) ** degree)
+
+    return law
 
 
 # A mutant replaces its target on the class or module, so a variant must look
@@ -452,67 +532,39 @@ _ACTIONS = (("left", lambda lam, g: lam * g), ("right", lambda lam, g: g * lam))
 # -- ring axioms ------------------------------------------------------------
 
 
-@_prop("ring", "add-commutative")
-def _(p, tol):
-    return approx_eq(p.a + p.b, p.b + p.a, tol)
+def _mul_identity(p, tol):
+    yield ONE * p.a, p.a
+    yield p.a * ONE, p.a
 
 
-@_prop("ring", "add-associative")
-def _(p, tol):
-    return approx_eq((p.a + p.b) + p.c, p.a + (p.b + p.c), tol)
-
-
-@_prop("ring", "add-identity")
-def _(p, tol):
-    return approx_eq(p.a + ZERO, p.a, tol)
-
-
-@_prop("ring", "add-opposite")
-def _(p, tol):
-    return approx_eq(p.a + (-p.a), ZERO, tol)
-
-
-@_prop("ring", "mul-identity")
-def _(p, tol):
-    return approx_eq(ONE * p.a, p.a, tol) and approx_eq(p.a * ONE, p.a, tol)
-
-
-@_prop("ring", "mul-associative")
-def _(p, tol):
-    return approx_eq((p.a * p.b) * p.c, p.a * (p.b * p.c), tol)
-
-
-@_prop("ring", "distributes-left")
-def _(p, tol):
-    return approx_eq(p.a * (p.b + p.c), p.a * p.b + p.a * p.c, tol)
-
-
-@_prop("ring", "distributes-right")
-def _(p, tol):
-    return approx_eq((p.a + p.b) * p.c, p.a * p.c + p.b * p.c, tol)
+_laws(
+    "ring",
+    ("add-commutative", lambda p, tol: (p.a + p.b, p.b + p.a)),
+    ("add-associative", lambda p, tol: ((p.a + p.b) + p.c, p.a + (p.b + p.c))),
+    ("add-identity", lambda p, tol: (p.a + ZERO, p.a)),
+    ("add-opposite", lambda p, tol: (p.a + (-p.a), ZERO)),
+    ("mul-identity", _mul_identity),
+    ("mul-associative", lambda p, tol: ((p.a * p.b) * p.c, p.a * (p.b * p.c))),
+    ("distributes-left", lambda p, tol: (p.a * (p.b + p.c), p.a * p.b + p.a * p.c)),
+    ("distributes-right", lambda p, tol: ((p.a + p.b) * p.c, p.a * p.c + p.b * p.c)),
+)
 
 
 # -- involution table ---------------------------------------------------------
 
-
-@_mirrored("involution", "{}-involution", _INVOLUTIONS)
-def _(inv, p, tol):
-    return approx_eq(inv(inv(p.a)), p.a, tol)
-
-
-@_mirrored("involution", "{}-additive", _INVOLUTIONS)
-def _(inv, p, tol):
-    return approx_eq(inv(p.a + p.b), inv(p.a) + inv(p.b), tol)
-
-
-@_mirrored("involution", "{}-antimultiplicative", _INVOLUTIONS)
-def _(inv, p, tol):
-    return approx_eq(inv(p.a * p.b), inv(p.b) * inv(p.a), tol)
-
-
-@_prop("involution", "rev-conj-commute")
-def _(p, tol):
-    return approx_eq(p.a.rev().conj(), p.a.conj().rev(), tol)
+_laws(
+    "involution",
+    *_variants("{}-involution", _INVOLUTIONS, lambda inv, p, tol: (inv(inv(p.a)), p.a)),
+    *_variants(
+        "{}-additive", _INVOLUTIONS, lambda inv, p, tol: (inv(p.a + p.b), inv(p.a) + inv(p.b))
+    ),
+    *_variants(
+        "{}-antimultiplicative",
+        _INVOLUTIONS,
+        lambda inv, p, tol: (inv(p.a * p.b), inv(p.b) * inv(p.a)),
+    ),
+    ("rev-conj-commute", lambda p, tol: (p.a.rev().conj(), p.a.conj().rev())),
+)
 
 
 # -- determinant and vigor ----------------------------------------------------
@@ -542,456 +594,335 @@ def _vig_components(g):
     return Paravector(scalar, (complex(vec[0]), complex(vec[1]), complex(vec[2])))
 
 
-@_prop("detvig", "det-closed-form")
-def _(p, tol):
-    return _close_c(p.a.det(), _det_components(p.a), tol)
-
-
-@_prop("detvig", "vig-closed-form")
-def _(p, tol):
-    return approx_eq(p.a.vig(), _vig_components(p.a), tol)
-
-
-@_prop("detvig", "vig-real-nonnegative")
-def _(p, tol):
+def _vig_real_nonnegative(p, tol):
     w = p.a.vig()
-    thr = tol.quadratic(component_scale(p.a))
-    return (
-        abs(w.s.imag) <= thr
-        and w.s.real >= -thr
-        and abs(w.v[0].imag) <= thr
-        and abs(w.v[1].imag) <= thr
-        and abs(w.v[2].imag) <= thr
-    )
+    # the imaginary parts, and the real scalar part where it is negative
+    off = (w.s.imag, min(w.s.real, 0.0), w.v[0].imag, w.v[1].imag, w.v[2].imag)
+    return off, (0.0,) * 5, component_scale(p.a) ** 2
 
 
-@_prop("detvig", "det-multiplicative")
-def _(p, tol):
-    return _close_c((p.a * p.b).det(), p.a.det() * p.b.det(), tol)
-
-
-@_prop("detvig", "det-of-rev")
-def _(p, tol):
-    return _close_c(p.a.rev().det(), p.a.det(), tol)
-
-
-@_prop("detvig", "det-of-conj")
-def _(p, tol):
-    return _close_c(p.a.conj().det(), p.a.det().conjugate(), tol)
-
-
-@_prop("detvig", "rev-product-commutes")
-def _(p, tol):
-    return approx_eq(p.a * p.a.rev(), p.a.rev() * p.a, tol)
-
-
-@_prop("detvig", "proper-singular-condition")
-def _(p, tol):
+def _proper_singular_condition(p, tol):
     cls = classify(p.a, tol)
-    if not (cls.is_proper or cls.is_singular):
-        return True
-    g = p.a
-    ad = g.s.real * g.s.imag
-    bc = (
-        g.v[0].real * g.v[0].imag
-        + g.v[1].real * g.v[1].imag
-        + g.v[2].real * g.v[2].imag
-    )
-    return abs(ad - bc) <= tol.quadratic(component_scale(g))
+    if cls.is_proper or cls.is_singular:
+        g = p.a
+        bc = g.v[0].real * g.v[0].imag + g.v[1].real * g.v[1].imag + g.v[2].real * g.v[2].imag
+        yield g.s.real * g.s.imag - bc, 0.0, component_scale(g) ** 2
 
 
-@_prop("detvig", "module-scalar-multiplicative")
-def _(p, tol):
-    lhs = (p.proper1 * p.s_real).module(tol)
-    return _close_c(lhs, abs(p.s_real) * p.proper1.module(tol), tol)
+def _special_closure(p, tol):
+    closed = (p.special1 * p.special2, p.special1 + p.special2, p.special1.inverse(tol))
+    return all(classify(g, tol).is_special for g in closed)
 
 
-@_prop("detvig", "module-multiplicative")
-def _(p, tol):
-    lhs = (p.proper1 * p.proper2).module(tol)
-    return _close_c(lhs, p.proper1.module(tol) * p.proper2.module(tol), tol)
-
-
-@_prop("detvig", "orthogonal-rev-is-inverse")
-def _(p, tol):
-    lam = p.proper1.normalize(tol)
-    return approx_eq(lam.inverse(tol), lam.rev(), tol)
-
-
-@_prop("detvig", "special-closure")
-def _(p, tol):
-    product = p.special1 * p.special2
-    total = p.special1 + p.special2
-    inv = p.special1.inverse(tol)
-    return (
-        classify(product, tol).is_special
-        and classify(total, tol).is_special
-        and classify(inv, tol).is_special
-    )
-
-
-@_prop("detvig", "singular-absorbs")
-def _(p, tol):
-    product = p.sing1 * p.b
-    sc = component_scale(p.sing1, p.b)
-    return _zero_c(product.det(), tol, sc * sc * sc * sc)
+_laws(
+    "detvig",
+    ("det-closed-form", lambda p, tol: (p.a.det(), _det_components(p.a))),
+    ("vig-closed-form", lambda p, tol: (p.a.vig(), _vig_components(p.a))),
+    ("vig-real-nonnegative", _vig_real_nonnegative),
+    ("det-multiplicative", lambda p, tol: ((p.a * p.b).det(), p.a.det() * p.b.det())),
+    ("det-of-rev", lambda p, tol: (p.a.rev().det(), p.a.det())),
+    ("det-of-conj", lambda p, tol: (p.a.conj().det(), p.a.det().conjugate())),
+    ("rev-product-commutes", lambda p, tol: (p.a * p.a.rev(), p.a.rev() * p.a)),
+    ("proper-singular-condition", _proper_singular_condition),
+    (
+        "module-scalar-multiplicative",
+        lambda p, tol: (
+            (p.proper1 * p.s_real).module(tol),
+            abs(p.s_real) * p.proper1.module(tol),
+        ),
+    ),
+    (
+        "module-multiplicative",
+        lambda p, tol: (
+            (p.proper1 * p.proper2).module(tol),
+            p.proper1.module(tol) * p.proper2.module(tol),
+        ),
+    ),
+    (
+        "orthogonal-rev-is-inverse",
+        lambda p, tol: ((lam := p.proper1.normalize(tol)).inverse(tol), lam.rev()),
+    ),
+    ("special-closure", _special_closure),
+    (
+        "singular-absorbs",
+        lambda p, tol: ((p.sing1 * p.b).det(), 0.0, component_scale(p.sing1, p.b) ** 4),
+    ),
+)
 
 
 # -- integrated, scalar, and vector products ----------------------------------
 
 
-@_prop("product", "scalar-parts-agree")
-def _(p, tol):
-    r = integrated(p.a, p.b, RIGHT).s
-    l = integrated(p.a, p.b, LEFT).s
+def _scalar_parts_agree(p, tol):
+    r, l = (integrated(p.a, p.b, o).s for o in (RIGHT, LEFT))
     sp = scalar_product(p.a, p.b)
-    return _close_c(r, sp, tol) and _close_c(l, sp, tol)
+    yield r, sp
+    yield l, sp
 
 
-@_prop("product", "det-factorizes")
-def _(p, tol):
+def _det_factorizes(p, tol):
     target = p.a.det() * p.b.det()
     for o in (RIGHT, LEFT):
-        if not _close_c(integrated(p.a, p.b, o).det(), target, tol):
-            return False
-    sp = scalar_product(p.a, p.b)
-    vv = vector_product(p.a, p.b, RIGHT)
-    return _close_c(sp * sp - vdot(vv, vv), target, tol)
+        yield integrated(p.a, p.b, o).det(), target
+    sp, vv = scalar_product(p.a, p.b), vector_product(p.a, p.b, RIGHT)
+    yield sp * sp - vdot(vv, vv), target
 
 
-@_mirrored("product", "{}-add-bilinear", _ORIENTATIONS)
-def _(o, p, tol):
-    lhs = integrated(p.a + p.b, p.c, o)
-    rhs = integrated(p.a, p.c, o) + integrated(p.b, p.c, o)
-    return approx_eq(lhs, rhs, tol)
-
-
-@_mirrored("product", "scalar-homogeneous-{}", _ORIENTATIONS)
-def _(o, p, tol):
+def _scalar_homogeneous(o, p, tol):
     base = integrated(p.a, p.b, o) * p.lam
-    left_scaled = integrated(p.a * p.lam, p.b, o)
-    right_scaled = integrated(p.a, p.b * p.lam, o)
-    return approx_eq(left_scaled, base, tol) and approx_eq(right_scaled, base, tol)
+    scaled = integrated(p.a * p.lam, p.b, o), integrated(p.a, p.b * p.lam, o)
+    for g in scaled:
+        yield g, base
 
 
-@_prop("product", "rev-swaps-arguments")
-def _(p, tol):
+def _rev_swaps_arguments(p, tol):
     for o in (RIGHT, LEFT):
-        if not approx_eq(
-            integrated(p.a, p.b, o).rev(), integrated(p.b, p.a, o), tol
-        ):
-            return False
-    return True
+        yield integrated(p.a, p.b, o).rev(), integrated(p.b, p.a, o)
 
 
-@_prop("product", "self-product-is-det")
-def _(p, tol):
+def _self_product_is_det(p, tol):
     expected = Paravector(p.a.det(), (0j, 0j, 0j))
-    return approx_eq(integrated(p.a, p.a, RIGHT), expected, tol) and approx_eq(
-        integrated(p.a, p.a, LEFT), expected, tol
-    )
+    for o in (RIGHT, LEFT):
+        yield integrated(p.a, p.a, o), expected
 
 
-@_prop("product", "scalar-symmetric")
-def _(p, tol):
-    return _close_c(scalar_product(p.a, p.b), scalar_product(p.b, p.a), tol)
+def _singular_self_scalar(p, tol):
+    yield scalar_product(p.sing1, p.sing1), 0.0, component_scale(p.sing1) ** 2
+    yield classify(p.sing1, tol).is_singular
 
 
-@_prop("product", "singular-self-scalar")
-def _(p, tol):
-    sc = component_scale(p.sing1)
-    return _zero_c(scalar_product(p.sing1, p.sing1), tol, sc * sc) and classify(
-        p.sing1, tol
-    ).is_singular
-
-
-@_prop("product", "spatial-embedding-dot")
-def _(p, tol):
+def _spatial_embedding_dot(p, tol):
     w1, w2 = p.w1, p.w2
     dot = w1[0] * w2[0] + w1[1] * w2[1] + w1[2] * w2[2]
-    real_a = Paravector(0j, (complex(w1[0]), complex(w1[1]), complex(w1[2])))
-    real_b = Paravector(0j, (complex(w2[0]), complex(w2[1]), complex(w2[2])))
-    imag_a = Paravector(0j, (1j * w1[0], 1j * w1[1], 1j * w1[2]))
-    imag_b = Paravector(0j, (1j * w2[0], 1j * w2[1], 1j * w2[2]))
-    return _close_c(scalar_product(real_a, real_b), -dot, tol) and _close_c(
-        scalar_product(imag_a, imag_b), dot, tol
-    )
+    real = [Paravector(0j, (complex(w[0]), complex(w[1]), complex(w[2]))) for w in (w1, w2)]
+    imag = [Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2])) for w in (w1, w2)]
+    yield scalar_product(*real), -dot
+    yield scalar_product(*imag), dot
 
 
-@_prop("product", "real-vector-product-conjugation")
-def _(p, tol):
-    right = vector_product(p.realpv1, p.realpv2, RIGHT)
-    left = vector_product(p.realpv1, p.realpv2, LEFT)
-    negated_conj = tuple(-z.conjugate() for z in left)
-    return _close_v(right, negated_conj, tol)
+_laws(
+    "product",
+    ("scalar-parts-agree", _scalar_parts_agree),
+    ("det-factorizes", _det_factorizes),
+    *_variants(
+        "{}-add-bilinear",
+        _ORIENTATIONS,
+        lambda o, p, tol: (
+            integrated(p.a + p.b, p.c, o),
+            integrated(p.a, p.c, o) + integrated(p.b, p.c, o),
+        ),
+    ),
+    *_variants("scalar-homogeneous-{}", _ORIENTATIONS, _scalar_homogeneous),
+    ("rev-swaps-arguments", _rev_swaps_arguments),
+    ("self-product-is-det", _self_product_is_det),
+    ("scalar-symmetric", lambda p, tol: (scalar_product(p.a, p.b), scalar_product(p.b, p.a))),
+    ("singular-self-scalar", _singular_self_scalar),
+    ("spatial-embedding-dot", _spatial_embedding_dot),
+    (
+        "real-vector-product-conjugation",
+        lambda p, tol: (
+            vector_product(p.realpv1, p.realpv2, RIGHT),
+            tuple(-z.conjugate() for z in vector_product(p.realpv1, p.realpv2, LEFT)),
+        ),
+    ),
+)
 
 
 # -- parallelism and perpendicularity -----------------------------------------
 
 
-@_prop("parallel", "parallel-iff-scalar-multiple")
-def _(p, tol):
-    if not is_parallel(p.par2, p.par1, tol):
-        return False
+def _parallel_iff_scalar_multiple(p, tol):
+    yield is_parallel(p.par2, p.par1, tol)
     lam = parallel_ratio(p.par2, p.par1)
-    if not _close_c(lam, p.lam, tol):
-        return False
-    if not approx_eq(p.par2, p.par1 * lam, tol):
-        return False
+    yield lam, p.lam
+    yield p.par2, p.par1 * lam
     generic = is_parallel(p.nonsing1, p.nonsing2, tol)
-    recovered = approx_eq(
-        p.nonsing1, p.nonsing2 * parallel_ratio(p.nonsing1, p.nonsing2), tol
-    )
-    return generic == recovered
+    ratio = parallel_ratio(p.nonsing1, p.nonsing2)
+    yield generic == _near(p.nonsing1, p.nonsing2 * ratio, tol)
 
 
-@_prop("parallel", "parallel-equivalence")
-def _(p, tol):
+def _parallel_equivalence(p, tol):
     third = p.par2 * p.mu
-    return (
-        is_parallel(p.par1, p.par1, tol)
-        and is_parallel(p.par1, p.par2, tol)
-        and is_parallel(p.par2, p.par1, tol)
-        and is_parallel(p.par1, third, tol)
-    )
+    pairs = ((p.par1, p.par1), (p.par1, p.par2), (p.par2, p.par1), (p.par1, third))
+    return all(is_parallel(x, y, tol) for x, y in pairs)
 
 
-@_prop("parallel", "perpendicular-irreflexive")
-def _(p, tol):
-    return not is_perpendicular(p.nonsing1, p.nonsing1, tol)
-
-
-@_prop("parallel", "perpendicular-symmetric")
-def _(p, tol):
-    return is_perpendicular(p.perp1, p.perp2, tol) and is_perpendicular(
-        p.perp2, p.perp1, tol
-    )
-
-
-@_prop("parallel", "perpendicular-transport")
-def _(p, tol):
-    return is_perpendicular(p.perp1, p.perp2 * p.mu, tol)
-
-
-@_prop("parallel", "self-perpendicular-iff-singular")
-def _(p, tol):
-    sc = component_scale(p.sing1)
-    singular_side = _zero_c(scalar_product(p.sing1, p.sing1), tol, sc * sc)
-    nc = component_scale(p.nonsing1)
-    nonsingular_side = abs(scalar_product(p.nonsing1, p.nonsing1)) > tol.quadratic(nc)
-    return singular_side and nonsingular_side
-
-
-@_prop("parallel", "orthogonal-parallel-sign")
-def _(p, tol):
-    l1 = p.proper1.normalize(tol)
-    l2 = p.proper2.normalize(tol)
-    if not (is_parallel(l1, l1, tol) and is_parallel(l1, -l1, tol)):
-        return False
+def _orthogonal_parallel_sign(p, tol):
+    l1, l2 = p.proper1.normalize(tol), p.proper2.normalize(tol)
+    yield is_parallel(l1, l1, tol) and is_parallel(l1, -l1, tol)
     if is_parallel(l1, l2, tol):
-        return approx_eq(l2, l1, tol) or approx_eq(l2, -l1, tol)
-    return True
+        yield _near(l2, l1, tol) or _near(l2, -l1, tol)
 
 
-@_prop("parallel", "conj-preserves-perpendicular")
-def _(p, tol):
-    return is_perpendicular(p.perp1.conj(), p.perp2.conj(), tol)
+def _singular_parallel_family(p, tol):
+    scaled = _scale(p.sing1, p.lam)
+    yield is_singularly_parallel(p.sing1, scaled, tol)
+    yield classify(p.sing1, tol).is_singular and classify(scaled, tol).is_singular
+    yield not is_singularly_parallel(p.sing1, p.sing2, tol)
 
 
-@_prop("parallel", "conj-preserves-parallel")
-def _(p, tol):
-    return is_parallel(p.par1.conj(), p.par2.conj(), tol)
-
-
-@_prop("parallel", "vig-preserves-parallel")
-def _(p, tol):
-    return is_parallel(p.par1.vig(), p.par2.vig(), tol)
-
-
-@_prop("parallel", "parallel-implies-spatial")
-def _(p, tol):
-    return is_spatially_parallel(p.par1, p.par2, tol)
-
-
-@_prop("parallel", "spatial-without-parallel")
-def _(p, tol):
-    return is_spatially_parallel(p.sp_a, p.sp_b, tol) and not is_parallel(
-        p.sp_a, p.sp_b, tol
-    )
-
-
-@_prop("parallel", "singular-parallel-family")
-def _(p, tol):
-    scaled = Paravector(
-        p.sing1.s * p.lam,
-        (p.sing1.v[0] * p.lam, p.sing1.v[1] * p.lam, p.sing1.v[2] * p.lam),
-    )
-    if not is_singularly_parallel(p.sing1, scaled, tol):
-        return False
-    if not (classify(p.sing1, tol).is_singular and classify(scaled, tol).is_singular):
-        return False
-    return not is_singularly_parallel(p.sing1, p.sing2, tol)
+_laws(
+    "parallel",
+    ("parallel-iff-scalar-multiple", _parallel_iff_scalar_multiple),
+    ("parallel-equivalence", _parallel_equivalence),
+    (
+        "perpendicular-irreflexive",
+        lambda p, tol: not is_perpendicular(p.nonsing1, p.nonsing1, tol),
+    ),
+    (
+        "perpendicular-symmetric",
+        lambda p, tol: is_perpendicular(p.perp1, p.perp2, tol)
+        and is_perpendicular(p.perp2, p.perp1, tol),
+    ),
+    ("perpendicular-transport", lambda p, tol: is_perpendicular(p.perp1, p.perp2 * p.mu, tol)),
+    ("self-perpendicular-iff-singular", _zero_iff_singular(lambda g: scalar_product(g, g), 2)),
+    ("orthogonal-parallel-sign", _orthogonal_parallel_sign),
+    (
+        "conj-preserves-perpendicular",
+        lambda p, tol: is_perpendicular(p.perp1.conj(), p.perp2.conj(), tol),
+    ),
+    ("conj-preserves-parallel", lambda p, tol: is_parallel(p.par1.conj(), p.par2.conj(), tol)),
+    ("vig-preserves-parallel", lambda p, tol: is_parallel(p.par1.vig(), p.par2.vig(), tol)),
+    ("parallel-implies-spatial", lambda p, tol: is_spatially_parallel(p.par1, p.par2, tol)),
+    (
+        "spatial-without-parallel",
+        lambda p, tol: is_spatially_parallel(p.sp_a, p.sp_b, tol)
+        and not is_parallel(p.sp_a, p.sp_b, tol),
+    ),
+    ("singular-parallel-family", _singular_parallel_family),
+)
 
 
 # -- determinant metric laws ---------------------------------------------------
 
-
-@_prop("metric", "polarization-identity")
-def _(p, tol):
-    lhs = (p.a + p.b).det()
-    rhs = p.a.det() + 2.0 * scalar_product(p.a, p.b) + p.b.det()
-    return _close_c(lhs, rhs, tol)
-
-
-@_prop("metric", "pythagorean")
-def _(p, tol):
-    lhs = (p.perp1 + p.perp2).det()
-    return _close_c(lhs, p.perp1.det() + p.perp2.det(), tol)
-
-
-@_prop("metric", "parallelogram-law")
-def _(p, tol):
-    lhs = (p.a + p.b).det() + (p.a - p.b).det()
-    return _close_c(lhs, 2.0 * p.a.det() + 2.0 * p.b.det(), tol)
+_laws(
+    "metric",
+    (
+        "polarization-identity",
+        lambda p, tol: (
+            (p.a + p.b).det(),
+            p.a.det() + 2.0 * scalar_product(p.a, p.b) + p.b.det(),
+        ),
+    ),
+    (
+        "pythagorean",
+        lambda p, tol: ((p.perp1 + p.perp2).det(), p.perp1.det() + p.perp2.det()),
+    ),
+    (
+        "parallelogram-law",
+        lambda p, tol: (
+            (p.a + p.b).det() + (p.a - p.b).det(),
+            2.0 * p.a.det() + 2.0 * p.b.det(),
+        ),
+    ),
+)
 
 
 # -- angles --------------------------------------------------------------------
 
 
-@_prop("angle", "angle-det-one")
-def _(p, tol):
+def _angle_det_one(p, tol):
     for o in (RIGHT, LEFT):
-        d = angle(p.proper1, p.proper2, o, tol).value.det()
-        if not _close_c(d, 1.0 + 0j, tol):
-            return False
-    return True
+        yield angle(p.proper1, p.proper2, o, tol).value.det(), 1.0 + 0j
 
 
-@_prop("angle", "angle-zero-self")
-def _(p, tol):
-    return approx_eq(angle(p.proper1, p.proper1, RIGHT, tol).value, ONE, tol)
-
-
-@_prop("angle", "composition-rows")
-def _(p, tol):
+def _composition_rows(p, tol):
     f1 = angle(p.proper1, p.proper2, LEFT, tol)
     f2 = angle(p.proper2, p.proper1, LEFT, tol)
     composed = compose_angles(f1, f2)
-    cosi = f1.cosinis * f2.cosinis + vdot(f1.sinis, f2.sinis)
+    yield composed.cosinis, f1.cosinis * f2.cosinis + vdot(f1.sinis, f2.sinis)
     cr = vcross(f1.sinis, f2.sinis)
     sini = tuple(
-        f1.cosinis * f2.sinis[k] + f2.cosinis * f1.sinis[k] + 1j * cr[k]
-        for k in range(3)
+        f1.cosinis * f2.sinis[k] + f2.cosinis * f1.sinis[k] + 1j * cr[k] for k in range(3)
     )
-    return _close_c(composed.cosinis, cosi, tol) and _close_v(composed.sinis, sini, tol)
+    yield composed.sinis, sini
 
 
-@_prop("angle", "doubling-rows")
-def _(p, tol):
+def _doubling_rows(p, tol):
     f = angle(p.proper1, p.proper2, LEFT, tol)
     doubled = compose_angles(f, f)
-    cosi = f.cosinis * f.cosinis + vdot(f.sinis, f.sinis)
-    sini = tuple(2.0 * f.cosinis * f.sinis[k] for k in range(3))
-    return _close_c(doubled.cosinis, cosi, tol) and _close_v(doubled.sinis, sini, tol)
+    yield doubled.cosinis, f.cosinis * f.cosinis + vdot(f.sinis, f.sinis)
+    yield doubled.sinis, tuple(2.0 * f.cosinis * f.sinis[k] for k in range(3))
 
 
-@_prop("angle", "explement-rows")
-def _(p, tol):
+def _explement_rows(p, tol):
     f = angle(p.proper1, p.proper2, LEFT, tol)
     e = explement(f)
-    return (
-        _close_c(e.cosinis, f.cosinis, tol)
-        and _close_v(e.sinis, tuple(-z for z in f.sinis), tol)
-        and _close_c(e.value.det(), 1.0 + 0j, tol)
-    )
+    yield e.cosinis, f.cosinis
+    yield e.sinis, tuple(-z for z in f.sinis)
+    yield e.value.det(), 1.0 + 0j
 
 
-@_prop("angle", "explement-swaps-arguments")
-def _(p, tol):
+def _explement_swaps_arguments(p, tol):
     for o in (RIGHT, LEFT):
         e = explement(angle(p.proper1, p.proper2, o, tol))
-        if not approx_eq(e.value, angle(p.proper2, p.proper1, o, tol).value, tol):
-            return False
-    return True
+        yield e.value, angle(p.proper2, p.proper1, o, tol).value
 
 
-@_prop("angle", "explement-involution")
-def _(p, tol):
-    f = angle(p.proper1, p.proper2, RIGHT, tol)
-    return approx_eq(explement(explement(f)).value, f.value, tol)
-
-
-@_prop("angle", "compose-identity")
-def _(p, tol):
-    f = angle(p.proper1, p.proper2, LEFT, tol)
-    return approx_eq(
-        compose_angles(f, Angle.identity(LEFT)).value, f.value, tol
-    )
-
-
-@_prop("angle", "trigonometric-character")
-def _(p, tol):
-    a = Paravector(0j, (1j * p.w1[0], 1j * p.w1[1], 1j * p.w1[2]))
-    b = Paravector(0j, (1j * p.w2[0], 1j * p.w2[1], 1j * p.w2[2]))
+def _trigonometric_character(p, tol):
+    a, b = (Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2])) for w in (p.w1, p.w2))
     f = angle(a, b, RIGHT, tol)
-    sc = component_scale(f.value)
-    thr = tol.linear(max(1.0, sc))
-    if abs(f.cosinis.imag) > thr:
-        return False
-    if any(abs(z.real) > thr for z in f.dextis):
-        return False
-    m = tuple(z.imag for z in f.dextis)
-    c = f.cosinis.real
-    return _close_c(c * c + m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 1.0, tol)
+    bound = max(1.0, component_scale(f.value))
+    yield (f.cosinis.imag, *(z.real for z in f.dextis)), (0.0,) * 4, bound
+    c, m = f.cosinis.real, tuple(z.imag for z in f.dextis)
+    yield c * c + m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 1.0
 
 
-@_prop("angle", "hyperbolic-character")
-def _(p, tol):
+def _hyperbolic_character(p, tol):
     f = angle(p.hyp1, p.hyp2, RIGHT, tol)
-    sc = component_scale(f.value)
-    thr = tol.linear(max(1.0, sc * sc))
-    if abs(f.cosinis.imag) > thr:
-        return False
-    if any(abs(z.imag) > thr for z in f.dextis):
-        return False
-    c = f.cosinis.real
-    d = tuple(z.real for z in f.dextis)
-    lhs = c * c - (d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    return abs(lhs - 1.0) <= tol.linear(max(1.0, sc * sc))
+    bound = max(1.0, component_scale(f.value) ** 2)
+    yield (f.cosinis.imag, *(z.imag for z in f.dextis)), (0.0,) * 4, bound
+    c, d = f.cosinis.real, tuple(z.real for z in f.dextis)
+    yield c * c - (d[0] ** 2 + d[1] ** 2 + d[2] ** 2), 1.0, bound
+
+
+_laws(
+    "angle",
+    ("angle-det-one", _angle_det_one),
+    ("angle-zero-self", lambda p, tol: (angle(p.proper1, p.proper1, RIGHT, tol).value, ONE)),
+    ("composition-rows", _composition_rows),
+    ("doubling-rows", _doubling_rows),
+    ("explement-rows", _explement_rows),
+    ("explement-swaps-arguments", _explement_swaps_arguments),
+    (
+        "explement-involution",
+        lambda p, tol: (
+            explement(explement(f := angle(p.proper1, p.proper2, RIGHT, tol))).value,
+            f.value,
+        ),
+    ),
+    (
+        "compose-identity",
+        lambda p, tol: (
+            compose_angles(f := angle(p.proper1, p.proper2, LEFT, tol), Angle.identity(LEFT)).value,
+            f.value,
+        ),
+    ),
+    ("trigonometric-character", _trigonometric_character),
+    ("hyperbolic-character", _hyperbolic_character),
+)
 
 
 # -- rotations -----------------------------------------------------------------
 
 
-@_prop("rotation", "preserves-det-and-scalar")
-def _(p, tol):
+def _preserves_det_and_scalar(p, tol):
     for o in (LEFT, RIGHT):
         g = rotate(p.a, p.axis1, o)
-        if not (_close_c(g.det(), p.a.det(), tol) and _close_c(g.s, p.a.s, tol)):
-            return False
-    return True
+        yield g.det(), p.a.det()
+        yield g.s, p.a.s
 
 
-@_prop("rotation", "fixes-spatially-parallel")
-def _(p, tol):
+def _fixes_spatially_parallel(p, tol):
     axis_v = p.axis1.value.v
-    g = Paravector(p.tau, (axis_v[0] * p.mu, axis_v[1] * p.mu, axis_v[2] * p.mu))
-    return approx_eq(rotate(g, p.axis1, LEFT), g, tol) and approx_eq(
-        rotate(g, p.axis1, RIGHT), g, tol
-    )
+    g = Paravector(p.tau, tuple(z * p.mu for z in axis_v))
+    for o in (LEFT, RIGHT):
+        yield rotate(g, p.axis1, o), g
 
 
-@_prop("rotation", "matches-similarity")
-def _(p, tol):
-    return approx_eq(
-        rotate(p.a, p.axis1, LEFT), similarity(p.a, p.axis1.value, tol), tol
-    )
-
-
-@_prop("rotation", "parallel-axes-same-rotation")
-def _(p, tol):
+def _parallel_axes_same_rotation(p, tol):
     other = RotationAxis.from_paravector(p.proper1 * p.s_real, tol)
-    return approx_eq(rotate(p.a, p.axis1, LEFT), rotate(p.a, other, LEFT), tol)
+    return rotate(p.a, p.axis1, LEFT), rotate(p.a, other, LEFT)
 
 
 def _rodrigues(w, n, theta):
@@ -1005,75 +936,59 @@ def _rodrigues(w, n, theta):
     return tuple(w[k] * c + cross[k] * s + n[k] * dot * (1.0 - c) for k in range(3))
 
 
-@_prop("rotation", "vector-matches-rodrigues")
-def _(p, tol):
-    got = rotate_vector(p.w1, p.rot1)
-    want = _rodrigues(p.w1, p.rot1.n, 2.0 * p.rot1.phi)
-    return _close_v(got, want, tol)
-
-
-@_prop("rotation", "vector-isometry")
-def _(p, tol):
-    got = rotate_vector(p.w1, p.rot1)
-    return _close_c(vnorm(got), vnorm(p.w1), tol)
-
-
-@_prop("rotation", "vector-fixes-axis")
-def _(p, tol):
+def _vector_fixes_axis(p, tol):
     w = (p.s_real * p.rot1.n[0], p.s_real * p.rot1.n[1], p.s_real * p.rot1.n[2])
-    return _close_v(rotate_vector(w, p.rot1), w, tol)
+    return rotate_vector(w, p.rot1), w
 
 
-@_prop("rotation", "euler-compose-sequential")
-def _(p, tol):
-    sequential = rotate_vector(rotate_vector(p.w1, p.rot1), p.rot2)
-    combined = rotate_vector(p.w1, euler_compose(p.rot1, p.rot2, tol))
-    return _close_v(sequential, combined, tol)
-
-
-@_prop("rotation", "angle-decomposition")
-def _(p, tol):
+def _angle_decomposition(p, tol):
     lam = p.axis2.value
-    rotated = rotate(p.proper1, p.axis2, LEFT)
-    lhs = angle(p.proper1, rotated, RIGHT, tol).value
-    rhs = (
-        angle(p.proper1, lam, RIGHT, tol).value
-        * angle(p.proper1, lam, LEFT, tol).value
-    )
-    return approx_eq(lhs, rhs, tol)
+    lhs = angle(p.proper1, rotate(p.proper1, p.axis2, LEFT), RIGHT, tol).value
+    return lhs, angle(p.proper1, lam, RIGHT, tol).value * angle(p.proper1, lam, LEFT, tol).value
 
 
-@_prop("rotation", "similarity-preserves-scalar")
-def _(p, tol):
-    return _close_c(similarity(p.a, p.nonsing1, tol).s, p.a.s, tol)
-
-
-@_prop("rotation", "similarity-equivalence")
-def _(p, tol):
+def _similarity_equivalence(p, tol):
     there = similarity(p.a, p.nonsing1, tol)
-    back = similarity(there, p.nonsing1.inverse(tol), tol)
-    if not approx_eq(back, p.a, tol):
-        return False
+    yield similarity(there, p.nonsing1.inverse(tol), tol), p.a
     two_step = similarity(similarity(p.a, p.nonsing1, tol), p.nonsing2, tol)
-    one_step = similarity(p.a, p.nonsing1 * p.nonsing2, tol)
-    return approx_eq(two_step, one_step, tol)
+    yield two_step, similarity(p.a, p.nonsing1 * p.nonsing2, tol)
+
+
+_laws(
+    "rotation",
+    ("preserves-det-and-scalar", _preserves_det_and_scalar),
+    ("fixes-spatially-parallel", _fixes_spatially_parallel),
+    (
+        "matches-similarity",
+        lambda p, tol: (rotate(p.a, p.axis1, LEFT), similarity(p.a, p.axis1.value, tol)),
+    ),
+    ("parallel-axes-same-rotation", _parallel_axes_same_rotation),
+    (
+        "vector-matches-rodrigues",
+        lambda p, tol: (
+            rotate_vector(p.w1, p.rot1),
+            _rodrigues(p.w1, p.rot1.n, 2.0 * p.rot1.phi),
+        ),
+    ),
+    ("vector-isometry", lambda p, tol: (vnorm(rotate_vector(p.w1, p.rot1)), vnorm(p.w1))),
+    ("vector-fixes-axis", _vector_fixes_axis),
+    (
+        "euler-compose-sequential",
+        lambda p, tol: (
+            rotate_vector(rotate_vector(p.w1, p.rot1), p.rot2),
+            rotate_vector(p.w1, euler_compose(p.rot1, p.rot2, tol)),
+        ),
+    ),
+    ("angle-decomposition", _angle_decomposition),
+    ("similarity-preserves-scalar", lambda p, tol: (similarity(p.a, p.nonsing1, tol).s, p.a.s)),
+    ("similarity-equivalence", _similarity_equivalence),
+)
 
 
 # -- mirror and axial symmetry ---------------------------------------------
 
 
-@_prop("mirror", "mirror-involution")
-def _(p, tol):
-    return approx_eq(mirror(mirror(p.a, p.om1, tol), p.om1, tol), p.a, tol)
-
-
-@_prop("mirror", "mirror-flips-scalar")
-def _(p, tol):
-    return _close_c(mirror(p.a, p.om1, tol).s, -p.a.s, tol)
-
-
-@_prop("mirror", "mirror-real-formula")
-def _(p, tol):
+def _mirror_real_formula(p, tol):
     w = p.w1
     nw = vnorm(w)
     n = (w[0] / nw, w[1] / nw, w[2] / nw)
@@ -1097,44 +1012,17 @@ def _(p, tol):
             -n[2] * vn + tangent[2],
         ),
     )
-    return approx_eq(mirror(p.a, w, tol), expected, tol)
+    return mirror(p.a, w, tol), expected
 
 
-@_prop("mirror", "mirror-composition-is-rotation")
-def _(p, tol):
-    sequential = mirror(mirror(p.a, p.om1, tol), p.om2, tol)
-    axis = compose_mirrors(p.om1, p.om2, tol)
-    return approx_eq(sequential, rotate(p.a, axis, LEFT), tol)
-
-
-@_prop("mirror", "axial-involution")
-def _(p, tol):
-    return approx_eq(axial_symmetry(axial_symmetry(p.a, p.om1, tol), p.om1, tol), p.a, tol)
-
-
-@_prop("mirror", "axial-preserves-scalar")
-def _(p, tol):
-    return _close_c(axial_symmetry(p.a, p.om1, tol).s, p.a.s, tol)
-
-
-@_prop("mirror", "axial-is-straight-rotation")
-def _(p, tol):
+def _axial_is_straight_rotation(p, tol):
     w = p.w1
     nw = vnorm(w)
-    axis = RotationAxis(
-        Paravector(0j, (1j * w[0] / nw, 1j * w[1] / nw, 1j * w[2] / nw))
-    )
-    return approx_eq(axial_symmetry(p.a, w, tol), rotate(p.a, axis, LEFT), tol)
+    axis = RotationAxis(Paravector(0j, (1j * w[0] / nw, 1j * w[1] / nw, 1j * w[2] / nw)))
+    return axial_symmetry(p.a, w, tol), rotate(p.a, axis, LEFT)
 
 
-@_prop("mirror", "axial-fixes-parallel")
-def _(p, tol):
-    g = Paravector(p.tau, (p.om1[0] * p.mu, p.om1[1] * p.mu, p.om1[2] * p.mu))
-    return approx_eq(axial_symmetry(g, p.om1, tol), g, tol)
-
-
-@_prop("mirror", "axial-real-formula")
-def _(p, tol):
+def _axial_real_formula(p, tol):
     w = p.w1
     nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
     v = p.a.v
@@ -1147,51 +1035,54 @@ def _(p, tol):
             2.0 * w[2] * vw / nw2 - v[2],
         ),
     )
-    return approx_eq(axial_symmetry(p.a, w, tol), expected, tol)
+    return axial_symmetry(p.a, w, tol), expected
+
+
+_laws(
+    "mirror",
+    ("mirror-involution", lambda p, tol: (mirror(mirror(p.a, p.om1, tol), p.om1, tol), p.a)),
+    ("mirror-flips-scalar", lambda p, tol: (mirror(p.a, p.om1, tol).s, -p.a.s)),
+    ("mirror-real-formula", _mirror_real_formula),
+    (
+        "mirror-composition-is-rotation",
+        lambda p, tol: (
+            mirror(mirror(p.a, p.om1, tol), p.om2, tol),
+            rotate(p.a, compose_mirrors(p.om1, p.om2, tol), LEFT),
+        ),
+    ),
+    (
+        "axial-involution",
+        lambda p, tol: (axial_symmetry(axial_symmetry(p.a, p.om1, tol), p.om1, tol), p.a),
+    ),
+    ("axial-preserves-scalar", lambda p, tol: (axial_symmetry(p.a, p.om1, tol).s, p.a.s)),
+    ("axial-is-straight-rotation", _axial_is_straight_rotation),
+    (
+        "axial-fixes-parallel",
+        lambda p, tol: (
+            axial_symmetry(g := Paravector(p.tau, tuple(z * p.mu for z in p.om1)), p.om1, tol),
+            g,
+        ),
+    ),
+    ("axial-real-formula", _axial_real_formula),
+)
 
 
 # -- matrix representations --------------------------------------------------
 
 
-def _embeds_products(embed, p, tol):
-    to = getattr(matrices, embed)
-    return to(p.a * p.b).approx_eq(to(p.a) @ to(p.b), tol)
-
-
-def _embeds_sums(embed, p, tol):
-    to = getattr(matrices, embed)
-    return to(p.a + p.b).approx_eq(to(p.a) + to(p.b), tol)
-
-
-def _embedding_laws(label, embed):
+def _embedding_rows(label, embed):
     """The two homomorphism rows of ``matrices.<embed>``, looked up when called."""
-    for law, body in (("multiplicative", _embeds_products), ("additive", _embeds_sums)):
-        _PROPS.append(Property("matrix", f"{label}-{law}", partial(body, embed)))
+
+    def to(g):
+        return getattr(matrices, embed)(g)
+
+    return (
+        (f"{label}-multiplicative", lambda p, tol: (to(p.a * p.b), to(p.a) @ to(p.b))),
+        (f"{label}-additive", lambda p, tol: (to(p.a + p.b), to(p.a) + to(p.b))),
+    )
 
 
-_embedding_laws("mat4", "to_matrix4")
-
-
-@_prop("matrix", "mat4-det-squares")
-def _(p, tol):
-    d = p.a.det()
-    return _close_c(matrices.to_matrix4(p.a).det(), d * d, tol)
-
-
-@_prop("matrix", "mat4-hermitian-conjugation")
-def _(p, tol):
-    lhs = matrices.to_matrix4(p.a.conj())
-    return lhs.approx_eq(matrices.to_matrix4(p.a).conj_transpose(), tol)
-
-
-@_prop("matrix", "mat4-inverse")
-def _(p, tol):
-    lhs = matrices.to_matrix4(p.nonsing1.inverse(tol))
-    return lhs.approx_eq(matrices.to_matrix4(p.nonsing1).inverse(), tol)
-
-
-@_prop("matrix", "mat4-reversion-pattern")
-def _(p, tol):
+def _mat4_reversion_pattern(p, tol):
     s = p.a.s
     x, y, z = p.a.v
     expected = matrices.Matrix4(
@@ -1202,88 +1093,93 @@ def _(p, tol):
             (-z, 1j * y, -1j * x, s),
         )
     )
-    return matrices.to_matrix4(p.a.rev()).approx_eq(expected, tol)
+    return matrices.to_matrix4(p.a.rev()), expected
 
 
-@_prop("matrix", "mat4-roundtrip")
-def _(p, tol):
-    return approx_eq(matrices.from_matrix4(matrices.to_matrix4(p.a), tol), p.a, tol)
-
-
-@_prop("matrix", "mat4-singular-iff")
-def _(p, tol):
-    sc = component_scale(p.sing1)
-    singular_side = _zero_c(
-        matrices.to_matrix4(p.sing1).det(), tol, sc * sc * sc * sc
-    )
-    nc = component_scale(p.nonsing1)
-    nonsingular_side = abs(matrices.to_matrix4(p.nonsing1).det()) > tol.linear(nc**4)
-    return singular_side and nonsingular_side
-
-
-_embedding_laws("pauli", "to_pauli")
-
-
-@_prop("matrix", "pauli-det")
-def _(p, tol):
-    return _close_c(matrices.to_pauli(p.a).det(), p.a.det(), tol)
+_laws(
+    "matrix",
+    *_embedding_rows("mat4", "to_matrix4"),
+    ("mat4-det-squares", lambda p, tol: ((d := p.a.det()) * d, matrices.to_matrix4(p.a).det())),
+    (
+        "mat4-hermitian-conjugation",
+        lambda p, tol: (
+            matrices.to_matrix4(p.a.conj()),
+            matrices.to_matrix4(p.a).conj_transpose(),
+        ),
+    ),
+    (
+        "mat4-inverse",
+        lambda p, tol: (
+            matrices.to_matrix4(p.nonsing1.inverse(tol)),
+            matrices.to_matrix4(p.nonsing1).inverse(),
+        ),
+    ),
+    ("mat4-reversion-pattern", _mat4_reversion_pattern),
+    (
+        "mat4-roundtrip",
+        lambda p, tol: (matrices.from_matrix4(matrices.to_matrix4(p.a), tol), p.a),
+    ),
+    ("mat4-singular-iff", _zero_iff_singular(lambda g: matrices.to_matrix4(g).det(), 4)),
+    *_embedding_rows("pauli", "to_pauli"),
+    ("pauli-det", lambda p, tol: (matrices.to_pauli(p.a).det(), p.a.det())),
+)
 
 
 # -- orthogonal transformations ----------------------------------------------
 
 
-@_prop("orthogonal", "right-action-preserves-integrated")
-def _(p, tol):
+def _right_action_preserves_integrated(p, tol):
     lam = p.axis2.value
-    lhs = integrated(p.a * lam, p.b * lam, RIGHT)
-    if not approx_eq(lhs, integrated(p.a, p.b, RIGHT), tol):
-        return False
-    lhs_left = integrated(lam * p.a, lam * p.b, LEFT)
-    return approx_eq(lhs_left, integrated(p.a, p.b, LEFT), tol)
+    yield integrated(p.a * lam, p.b * lam, RIGHT), integrated(p.a, p.b, RIGHT)
+    yield integrated(lam * p.a, lam * p.b, LEFT), integrated(p.a, p.b, LEFT)
 
 
-@_mirrored("orthogonal", "vig-parallel-{}-action", _ACTIONS)
-def _(act, p, tol):
-    lam = p.axis1.value
-    return is_parallel(act(lam, p.par1).vig(), act(lam, p.par2).vig(), tol)
-
-
-@_prop("orthogonal", "right-action-star-scalar")
-def _(p, tol):
+def _right_action_star_scalar(p, tol):
     lam = p.axis2.value
     a2, b2 = p.a * lam, p.b * lam
     lhs = scalar_product(a2.conj() * a2, b2.conj() * b2)
-    rhs = scalar_product(p.a.conj() * p.a, p.b.conj() * p.b)
-    return _close_c(lhs, rhs, tol)
+    return lhs, scalar_product(p.a.conj() * p.a, p.b.conj() * p.b)
 
 
-@_prop("orthogonal", "left-action-vig-scalar")
-def _(p, tol):
+def _left_action_vig_scalar(p, tol):
     lam = p.axis2.value
     a2, b2 = lam * p.a, lam * p.b
     lhs = scalar_product(a2.vig(), b2.vig())
-    rhs = scalar_product(p.a.vig(), p.b.vig())
-    return _close_c(lhs, rhs, tol)
+    return lhs, scalar_product(p.a.vig(), p.b.vig())
 
 
-@_prop("orthogonal", "sphere-invariance")
-def _(p, tol):
+def _sphere_invariance(p, tol):
     lam = p.axis1.value
-    sc = component_scale(lam, p.sphere)
-    quartic = sc * sc * sc * sc
-    return _zero_c((lam * p.sphere).det(), tol, quartic) and _zero_c(
-        rotate(p.sphere, p.axis1, LEFT).det(), tol, quartic
-    )
+    quartic = component_scale(lam, p.sphere) ** 4
+    yield (lam * p.sphere).det(), 0.0, quartic
+    yield rotate(p.sphere, p.axis1, LEFT).det(), 0.0, quartic
 
 
-@_prop("orthogonal", "det-one-detector")
-def _(p, tol):
-    if not is_orthogonal_transform(p.axis1.value, tol):
-        return False
-    d = p.nonsing1.det()
-    if abs(d - 1.0) > 1e-3:
-        return not is_orthogonal_transform(p.nonsing1, tol)
-    return True
+# a determinant this far from one must be rejected by the detector
+_FAR_FROM_ONE = Tolerance(1e-3, 0.0)
+
+
+def _det_one_detector(p, tol):
+    yield is_orthogonal_transform(p.axis1.value, tol)
+    if not _near(p.nonsing1.det(), 1.0, _FAR_FROM_ONE):
+        yield not is_orthogonal_transform(p.nonsing1, tol)
+
+
+_laws(
+    "orthogonal",
+    ("right-action-preserves-integrated", _right_action_preserves_integrated),
+    *_variants(
+        "vig-parallel-{}-action",
+        _ACTIONS,
+        lambda act, p, tol: is_parallel(
+            act(lam := p.axis1.value, p.par1).vig(), act(lam, p.par2).vig(), tol
+        ),
+    ),
+    ("right-action-star-scalar", _right_action_star_scalar),
+    ("left-action-vig-scalar", _left_action_vig_scalar),
+    ("sphere-invariance", _sphere_invariance),
+    ("det-one-detector", _det_one_detector),
+)
 
 
 SUITES = tuple(dict.fromkeys(prop.suite for prop in _PROPS))

@@ -1,5 +1,6 @@
 """Determinism and plumbing of the property-fuzz engine."""
 
+import ast
 import contextlib
 import os
 import subprocess
@@ -8,17 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, run_fuzz
+from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, cli, core, run_fuzz
 from paravec.fuzz import (
     _PROPS,
     MUTANTS,
+    TrialPack,
     _mutated,
     _Recording,
     make_pack,
     mix64,
     trial_seed,
 )
+from paravec.transforms import SpatialRotation
 from paravec.wire import to_wire
+
+FUZZ_SOURCE = Path(__file__).resolve().parent.parent / "src" / "paravec" / "fuzz.py"
 
 
 class _ReadLog:
@@ -81,7 +86,11 @@ class TestPackGeneration:
                 with contextlib.suppress(Exception):
                     prop.check(view, DEFAULT_TOL)
                 read |= view.inputs.keys()
-        assert read == set(vars(make_pack(42, 0)))
+        families = TrialPack._FAMILIES
+        assert len(set(families)) == len(families)
+        assert read == set(families)
+        # the eagerly drawn families are all declared; the rest are built on read
+        assert {name for name in vars(make_pack(42, 0)) if not name.startswith("_")} <= read
 
     def test_corner_cases_do_appear(self):
         from paravec import ZERO
@@ -101,6 +110,12 @@ class TestRunFuzz:
         assert all(p.name.startswith("ring/") for p in r.properties)
         with pytest.raises(ValueError):
             run_fuzz(seed=5, trials=5, suites=["nonsense"])
+        # a one-suite run reports exactly that suite's rows of the full report
+        for mutant in (None, "mul-drop-cross"):
+            full = run_fuzz(seed=5, trials=10, mutant=mutant).properties
+            for suite in SUITES:
+                rows = [r for r in full if r.name.split("/", 1)[0] == suite]
+                assert list(run_fuzz(5, 10, mutant=mutant, suites=[suite]).properties) == rows
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -170,6 +185,71 @@ class TestRunFuzz:
         assert checks["parallel/parallel-iff-scalar-multiple"](view, DEFAULT_TOL)
         assert list(view.inputs) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
         assert view.inputs["lam"] == to_wire(view.lam)
+
+
+def _det_one_of_minus_one(d, proper, thr):
+    return proper and abs(d + 1.0) <= thr
+
+
+def _rotation_that_raises(self, *args):
+    raise RuntimeError("rotation construction is broken")
+
+
+@pytest.mark.parametrize(
+    "owner, name, defect",
+    [
+        (core, "_det_one", _det_one_of_minus_one),
+        (SpatialRotation, "__init__", _rotation_that_raises),
+    ],
+    ids=["det-one-rule", "rotation-constructor"],
+)
+def test_a_library_defect_in_a_derived_family_is_reported(monkeypatch, capsys, owner, name, defect):
+    # the axes and rotations are built by library code when a check reads them:
+    # a defect there fails those checks, with its error, instead of the campaign
+    monkeypatch.setattr(owner, name, defect)
+    failing = [r for r in run_fuzz(42, 2).properties if r.fails]
+    assert failing
+    assert all("error" in r.counterexample for r in failing)
+    assert cli.main(["fuzz", "--seed", "42", "--trials", "2"]) == 3
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _registry_region():
+    """The statements of ``fuzz.py`` from ``_PROPS = []`` up to ``SUITES = ...``."""
+    body = ast.parse(FUZZ_SOURCE.read_text()).body
+    names = [
+        getattr(node.targets[0], "id", None) if isinstance(node, ast.Assign) else None
+        for node in body
+    ]
+    return body[names.index("_PROPS") + 1 : names.index("SUITES")]
+
+
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_laws_weigh_no_threshold_of_their_own():
+    # only _weigh, under the two comparison points _holds and _near, sets an
+    # error against a threshold; no law or row computes or compares one itself
+    region = _registry_region()
+    defined = {node.name for node in region if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_weigh", "_holds", "_near"}
+    laws = [node for stmt in region for node in ast.walk(stmt) if isinstance(node, ast.Lambda)]
+    assert len(laws) + len(defined) >= 90
+    offences = []
+    for stmt in region:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and _called_name(node) in {
+                "linear", "quadratic", "approx_eq", "_weigh"
+            }:
+                offences.append((node.lineno, _called_name(node)))
+            if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Call) and _called_name(side) == "abs"
+                for side in (node.left, *node.comparators)
+            ):
+                offences.append((node.lineno, "abs(...) compared"))
+    assert offences == []
 
 
 def test_import_paravec_loads_the_fuzz_engine_on_first_use():

@@ -76,6 +76,10 @@ MALFORMED = {
     "scale-nan-number": lambda: core.component_scale(math.nan, 3.0),
     "scale-inf-list": lambda: core.component_scale([math.inf]),
     "scale-set": lambda: core.component_scale({1, 2}),
+    "scale-complex-nan": lambda: core.component_scale([complex(math.nan, 0)]),
+    "scale-complex-inf": lambda: core.component_scale((complex(math.inf, 0),)),
+    "scale-complex-nan-number": lambda: core.component_scale(complex(math.nan), 3.0),
+    "scale-complex-inf-imag": lambda: core.component_scale([1j, complex(0, -math.inf)]),
 }
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _strategies import components
 from paravec import ONE, ArityError, Paravector, ParseError, RotationAxis, SpatialRotation
 from paravec.cli import _COMMANDS, main
-from paravec.fuzz import MUTANTS, make_pack
+from paravec.fuzz import MUTANTS, TrialPack, make_pack
 from paravec.wire import (
     _parse_rotation,
     _parse_vector,
@@ -94,7 +94,8 @@ class TestWire:
         without_operand = set()
         for i in range(50):
             pack = make_pack(42, i)
-            for name, value in vars(pack).items():
+            for name in TrialPack._FAMILIES:
+                value = getattr(pack, name)
                 text = json.dumps(to_wire(value))
                 if isinstance(value, (Paravector, RotationAxis)):
                     assert json.dumps(to_wire(parse_paravector(text))) == text, name
