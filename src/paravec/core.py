@@ -101,11 +101,11 @@ class _Value:
     """Base of every immutable value: slotted fields, set once.
 
     A subclass names its fields, in order, in ``__match_args__`` and
-    ``__slots__``; its ``__init__`` validates them and sets them with
-    ``_set_fields``, through ``_setters``: the slots' ``__set__``, bound
-    once, which pass the guard of ``__setattr__``.  Equality, hashing,
-    ``repr`` and pickling go by the tuple of the fields; unpickling and
-    copying run no validator.
+    ``__slots__``.  ``__init__`` takes exactly those fields; a subclass that
+    validates overrides it and sets them with ``_set_fields``, through
+    ``_setters``: the slots' ``__set__``, bound once, which pass the guard
+    of ``__setattr__``.  Equality, hashing, ``repr`` and pickling go by the
+    tuple of the fields; unpickling and copying run no validator.
     """
 
     __slots__ = ()
@@ -113,6 +113,11 @@ class _Value:
 
     def __init_subclass__(cls):
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} fields")
+        self._set_fields(fields)
 
     def _fields(self):
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -402,9 +407,6 @@ class Classification(_Value):
     __match_args__ = __slots__ = ("det", "is_proper", "is_singular", "is_orthogonal",
                                   "is_special", "is_unitar", "tol")
 
-    def __init__(self, det, is_proper, is_singular, is_orthogonal, is_special, is_unitar, tol):
-        self._set_fields((det, is_proper, is_singular, is_orthogonal, is_special, is_unitar, tol))
-
 
 def classify(p, tol=DEFAULT_TOL):
     """Evaluate the proper/singular/orthogonal/special/unitar flags."""
@@ -419,13 +421,7 @@ def classify(p, tol=DEFAULT_TOL):
         and abs(v[1].real) <= lthr
         and abs(v[2].real) <= lthr
     )
-    w = p.vig()
-    unitar = (
-        abs(w.s - 1.0) <= qthr
-        and abs(w.v[0]) <= qthr
-        and abs(w.v[1]) <= qthr
-        and abs(w.v[2]) <= qthr
-    )
+    unitar = _deviation(p.vig(), ONE) <= qthr
     return Classification(d, proper, singular, orthogonal, special, unitar, tol)
 
 
@@ -499,16 +495,25 @@ def component_scale(*items):
     return m
 
 
+def _deviation(a, b):
+    """The largest modulus of a componentwise difference of two paravectors."""
+    u, w = a.v, b.v
+    try:
+        m = abs(a.s - b.s)
+        x = abs(u[0] - w[0])
+        if x > m:
+            m = x
+        x = abs(u[1] - w[1])
+        if x > m:
+            m = x
+        x = abs(u[2] - w[2])
+        if x > m:
+            m = x
+    except OverflowError:  # a modulus beyond the float range is larger than any threshold
+        return _INF
+    return m
+
+
 def approx_eq(a, b, tol=DEFAULT_TOL):
     """Componentwise closeness, scaled by the largest component of either side."""
-    sa = _pv_scale(a)
-    sb = _pv_scale(b)
-    thr = tol.linear(sa if sa > sb else sb)
-    if abs(a.s - b.s) > thr:
-        return False
-    va, vb = a.v, b.v
-    return (
-        abs(va[0] - vb[0]) <= thr
-        and abs(va[1] - vb[1]) <= thr
-        and abs(va[2] - vb[2]) <= thr
-    )
+    return _deviation(a, b) <= tol.linear(component_scale(a, b))

@@ -19,9 +19,10 @@ trials are independent streams and a report is a pure function of
 (seed, trials, tolerance).  Components are drawn uniformly from [-2, 2];
 with 10% probability a trial swaps in a structured corner case (zero,
 identity, a singular pair, special/unitar forms, scaled copies, extreme
-and tiny components).  Generation calls no library norm.  The rotations and
-axes are built by the library when a check first reads them, so a defect
-that raises there fails, with its error, only the properties that read them.
+and tiny components).  Generation calls no library arithmetic.  The
+rotations and axes are built by the library when a check first reads them,
+so a defect that raises there fails, with its error, only the properties
+that read them.
 
 Laws and judgement
 ------------------
@@ -55,6 +56,7 @@ from .core import (
     ZERO,
     Paravector,
     Tolerance,
+    _deviation,
     _make,
     _pv_scale,
     _scale,
@@ -136,11 +138,11 @@ def trial_seed(seed, index):
 
 
 # ---------------------------------------------------------------------------
-# Trial generation.  Everything here builds paravectors from raw components
-# and calls only helpers that no mutant replaces (``scalar_product(p, p)`` is
-# the determinant from raw components); generation calls no library norm, so
-# a mutant cannot skew generation.  Draws whose components are complex and
-# finite by construction go through the trusted ``_make``.
+# Trial generation.  Everything here computes with its own raw-component
+# expressions (``_norm``, ``_dot``, ``_sprod``, ``_times``), each in the
+# evaluation order of the library call it replaces, and builds values only
+# through ``Paravector`` and the trusted ``_make``: generation calls no library
+# arithmetic, so a library defect can neither skew nor crash the operand stream.
 # ---------------------------------------------------------------------------
 
 
@@ -173,33 +175,50 @@ def _norm(v):
     return math.sqrt(abs(v[0]) ** 2 + abs(v[1]) ** 2 + abs(v[2]) ** 2)
 
 
+def _dot(u, w):
+    """The unconjugated dot product of two complex 3-vectors."""
+    return u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+
+
+def _sprod(a, b):
+    """The scalar product ``s1*s2 - v1.v2`` of two paravectors."""
+    return a.s * b.s - _dot(a.v, b.v)
+
+
+def _times(p, k):
+    """``p`` times the number ``k``, component by component."""
+    v = p.v
+    return _make(p.s * k, (v[0] * k, v[1] * k, v[2] * k))
+
+
 def _nonsingular(rng, min_det=0.1):
     for _ in range(32):
         p = _draw_pv(rng)
-        if abs(scalar_product(p, p)) > min_det:
+        if abs(_sprod(p, p)) > min_det:
             return p
     return Paravector(2 + 0j, (1 + 0j, 0j, 0j))
 
 
 def _proper(rng, min_det=0.1):
     p = _nonsingular(rng, min_det)
-    d = scalar_product(p, p)
-    return _scale(p, cmath.exp(-0.5j * cmath.phase(d)))
+    d = _sprod(p, p)
+    return _times(p, cmath.exp(-0.5j * cmath.phase(d)))
 
 
 def _singular(rng):
     v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-    return _make(cmath.sqrt(vdot(v, v)), v)
+    return _make(cmath.sqrt(_dot(v, v)), v)
 
 
 def _perp_pair(rng):
     a = _nonsingular(rng)
-    da = scalar_product(a, a)
+    da = _sprod(a, a)
     for _ in range(32):
         raw = _draw_pv(rng)
-        k = scalar_product(a, raw) / da
-        b = raw - _scale(a, k)
-        if abs(scalar_product(b, b)) > 0.05 and component_scale(b) > 0.05:
+        k = _sprod(a, raw) / da
+        u, w = raw.v, a.v
+        b = _make(raw.s - a.s * k, (u[0] - w[0] * k, u[1] - w[1] * k, u[2] - w[2] * k))
+        if abs(_sprod(b, b)) > 0.05 and _pv_scale(b) > 0.05:
             return a, b
     return Paravector(1 + 0j, (0j, 0j, 0j)), Paravector(0j, (1 + 0j, 0j, 0j))
 
@@ -222,7 +241,7 @@ def _real_vector(rng, min_norm=0.2):
 def _complex_normal(rng):
     while True:
         v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-        if abs(vdot(v, v)) >= 0.05:
+        if abs(_dot(v, v)) >= 0.05:
             return v
 
 
@@ -289,8 +308,8 @@ def _spatial_pair(rng):
         b = _make(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
         qn = _norm(q)
         if (
-            abs(scalar_product(a, a)) > 0.1
-            and abs(scalar_product(b, b)) > 0.1
+            abs(_sprod(a, a)) > 0.1
+            and abs(_sprod(b, b)) > 0.1
             and abs(s2 - mu * s1) * qn > 0.1
         ):
             return a, b
@@ -315,7 +334,7 @@ def _corner_triple(rng):
         return u, u_rev, g
     if pick == 5:
         lam = _draw_real(rng, 0.2)
-        return g, _scale(g, lam), g
+        return g, _times(g, lam), g
     if pick == 6:
         g_rev = Paravector(g.s, (-g.v[0], -g.v[1], -g.v[2]))
         g_conj = Paravector(
@@ -338,7 +357,7 @@ def _corner_triple(rng):
             _draw_pv(rng),
         )
     if pick == 8:
-        return _scale(g, 1e-12), g, _draw_pv(rng)
+        return _times(g, 1e-12), g, _draw_pv(rng)
     s = _sphere_point(rng)
     return s, Paravector(s.s, (-s.v[0], -s.v[1], -s.v[2])), g
 
@@ -373,7 +392,7 @@ class TrialPack:
         self.proper2 = _proper(rng)
         self.perp1, self.perp2 = _perp_pair(rng)
         self.par1 = _nonsingular(rng)
-        self.par2 = _scale(self.par1, self.lam)
+        self.par2 = _times(self.par1, self.lam)
         self.sing1 = _singular(rng)
         self.sing2 = _singular(rng)
         self.sphere = _sphere_point(rng)
@@ -417,8 +436,7 @@ def _weigh(tol, x, y, scale=None):
     matrices, and the largest modulus for numbers and vectors.
     """
     if type(x) is Paravector:
-        u, w = x.v, y.v
-        error = max(abs(x.s - y.s), abs(u[0] - w[0]), abs(u[1] - w[1]), abs(u[2] - w[2]))
+        error = _deviation(x, y)
         if scale is None:
             sx, sy = _pv_scale(x), _pv_scale(y)
             scale = sx if sx > sy else sy
@@ -428,9 +446,9 @@ def _weigh(tol, x, y, scale=None):
             scale = max(abs(x), abs(y))
     else:
         if type(x) is not tuple:  # a matrix
-            if scale is None:
-                scale = matrices._entry_scale(x, y)
             x, y = sum(x.rows, ()), sum(y.rows, ())
+            if scale is None:
+                scale = component_scale(x, y)
         error = max(map(abs, map(sub, x, y)))
         if scale is None:
             scale = max(max(map(abs, x)), max(map(abs, y)))
@@ -474,9 +492,6 @@ def _near(x, y, tol, scale=None):
 
 class Property(_Value):
     __match_args__ = __slots__ = ("suite", "name", "check")
-
-    def __init__(self, suite, name, check):
-        self._set_fields((suite, name, check))
 
     @property
     def full_name(self):
@@ -1266,17 +1281,11 @@ class PropertyResult(_Value):
 
     __match_args__ = __slots__ = ("name", "passes", "fails", "counterexample")
 
-    def __init__(self, name, passes, fails, counterexample):
-        self._set_fields((name, passes, fails, counterexample))
-
 
 class FuzzReport(_Value):
     """What ``run_fuzz`` found: ``properties`` is a tuple of ``PropertyResult``."""
 
     __match_args__ = __slots__ = ("seed", "trials", "tol", "mutant", "properties")
-
-    def __init__(self, seed, trials, tol, mutant, properties):
-        self._set_fields((seed, trials, tol, mutant, properties))
 
     @property
     def failed_properties(self):

@@ -20,7 +20,9 @@ import cmath
 from .core import (
     DEFAULT_TOL,
     ONE,
+    ZERO,
     _det_verdict,
+    _deviation,
     _pv_scale,
     _scale,
     _Value,
@@ -108,13 +110,7 @@ def is_singularly_parallel(a, b, tol=DEFAULT_TOL):
     A true verdict forces both operands to be singular.
     """
     p = integrated(a, b, _RIGHT)
-    thr = tol.linear(_pv_scale(a) * _pv_scale(b))
-    return (
-        abs(p.s) <= thr
-        and abs(p.v[0]) <= thr
-        and abs(p.v[1]) <= thr
-        and abs(p.v[2]) <= thr
-    )
+    return _deviation(p, ZERO) <= tol.linear(_pv_scale(a) * _pv_scale(b))
 
 
 def parallel_ratio(a, b):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 
-from .core import DEFAULT_TOL, Paravector, _as_complex, _Value, format_complex
+from .core import DEFAULT_TOL, Paravector, _as_complex, _Value, component_scale, format_complex
 from .errors import NotAParavectorMatrix, ValidationError
 
 
@@ -36,21 +36,6 @@ _IDENTITY_ROWS = {
     n: tuple(tuple(1 + 0j if i == j else 0j for j in range(n)) for i in range(n))
     for n in (2, 4)
 }
-
-
-def _entry_scale(*matrices):
-    """Largest absolute real or imaginary part over all entries."""
-    scale = 0.0
-    for m in matrices:
-        for row in m.rows:
-            for e in row:
-                x = abs(e.real)
-                if x > scale:
-                    scale = x
-                x = abs(e.imag)
-                if x > scale:
-                    scale = x
-    return scale
 
 
 class _SquareMatrix(_Value):
@@ -160,7 +145,9 @@ class _SquareMatrix(_Value):
         return self._trusted(tuple([tuple(row[n:]) for row in a]))
 
     def approx_eq(self, other, tol=DEFAULT_TOL):
-        thr = tol.linear(_entry_scale(self, other))
+        if type(other) is not type(self):  # as for ==, another size is never close
+            return False
+        thr = tol.linear(component_scale(*self.rows, *other.rows))
         for ra, rb in zip(self.rows, other.rows):
             for a, b in zip(ra, rb):
                 if not abs(a - b) <= thr:
@@ -240,6 +227,8 @@ def from_matrix4(m, tol=DEFAULT_TOL):
     embedding pattern (rebuilt here on purpose, without calling
     to_matrix4) and the first offending entry is reported.
     """
+    if not isinstance(m, Matrix4):
+        raise ValidationError("expected a 4x4 matrix")
     r = m.rows
     a = r[0][0]
     x, y, z = r[0][1], r[0][2], r[0][3]
@@ -249,7 +238,7 @@ def from_matrix4(m, tol=DEFAULT_TOL):
         (y, 1j * z, a, -1j * x),
         (z, -1j * y, 1j * x, a),
     )
-    thr = tol.linear(_entry_scale(m))
+    thr = tol.linear(component_scale(*r))
     for i in range(4):
         for j in range(4):
             if abs(r[i][j] - expected[i][j]) > thr:

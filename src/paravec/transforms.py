@@ -176,12 +176,13 @@ def euler_compose(r1, r2, tol=DEFAULT_TOL):
 
 
 def _anisotropic(w, tol, message):
-    """``w`` as a complex 3-vector and its square ``w.w``, nonzero to ``tol``."""
+    """``(w, w.w, scale)``: ``w`` as a complex 3-vector whose square is nonzero to ``tol``."""
     w = _as_cvector(w)
     ww = vdot(w, w)
-    if abs(ww) <= tol.quadratic(component_scale(w)):
+    sc = component_scale(w)
+    if abs(ww) <= tol.quadratic(sc):
         raise IsotropicNormal(message)
-    return w, ww
+    return w, ww, sc
 
 
 def mirror(g, w, tol=DEFAULT_TOL):
@@ -192,7 +193,7 @@ def mirror(g, w, tol=DEFAULT_TOL):
     component along the normal is reflected.  Normals with ``w.w = 0``
     are rejected.
     """
-    w, ww = _anisotropic(w, tol, "mirror normal squares to zero")
+    w, ww, _ = _anisotropic(w, tol, "mirror normal squares to zero")
     plane = _make(0j, w)
     return _scale((plane * g) * plane, -1.0 / ww)
 
@@ -204,13 +205,12 @@ def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
     determinant one; applying the left rotation with it reproduces the
     two sequential mirrors.
     """
-    w1, _ = _anisotropic(w1, tol, "mirror normal squares to zero")
-    w2, _ = _anisotropic(w2, tol, "mirror normal squares to zero")
+    w1, _, s1 = _anisotropic(w1, tol, "mirror normal squares to zero")
+    w2, _, s2 = _anisotropic(w2, tol, "mirror normal squares to zero")
     cr = vcross(w1, w2)
     num = Paravector(vdot(w1, w2), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
     d = num.det()
-    snn = component_scale(w1) * component_scale(w2)
-    if abs(d) <= tol.quadratic(snn):
+    if abs(d) <= tol.quadratic(s1 * s2):
         raise DegenerateComposition("mirror normals compose to no definite axis")
     return RotationAxis(num * (1.0 / cmath.sqrt(d)))
 
@@ -221,7 +221,7 @@ def axial_symmetry(g, w, tol=DEFAULT_TOL):
     Preserves the scalar component; for a real w the vector part maps to
     ``2 (v.n) n - v`` with n the unit direction of w.
     """
-    w, ww = _anisotropic(w, tol, "axial vector squares to zero")
+    w, ww, _ = _anisotropic(w, tol, "axial vector squares to zero")
     left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
     right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
     return _scale((left * g) * right, 1.0 / ww)

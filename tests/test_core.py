@@ -26,6 +26,7 @@ from paravec import (
     approx_eq,
     classify,
     is_orthogonal_transform,
+    is_singularly_parallel,
     mul,
 )
 from paravec.wire import from_wire
@@ -297,6 +298,36 @@ class TestClassify:
         assert abs(product.det()) <= 1e-9 * scale * scale
 
 
+# abs = 0, so rel * scale (or rel * scale**2) alone sets each threshold below;
+# each operand pair sits at 0.5 and at 2 times it
+_REL = Tolerance(0.0, 1e-6)
+_AT_THRESHOLD = pytest.mark.parametrize("factor, verdict", [(0.5, True), (2.0, False)])
+
+
+class TestVerdictsAtTheThreshold:
+    @_AT_THRESHOLD
+    def test_approx_eq_weighs_the_largest_difference_against_rel_scale(self, factor, verdict):
+        # scale 1000, threshold 1e-3; the only difference sits in an imaginary part
+        a = pv(1000, (1, 2j, -3))
+        b = pv(1000, (1, 2j + factor * 1e-3j, -3))
+        assert approx_eq(a, b, _REL) is verdict
+        assert approx_eq(b, a, _REL) is verdict
+        assert a.approx_eq(b, _REL) is verdict
+
+    @_AT_THRESHOLD
+    def test_unitar_weighs_the_vigor_scalar_against_rel_scale_squared(self, factor, verdict):
+        # vig = {c*c | 0}, scale c, threshold 1e-6 * c*c
+        c = classify(pv(math.sqrt(1.0 + factor * 1e-6), (0, 0, 0)), _REL)
+        assert c.is_proper and c.is_unitar is verdict
+
+    @_AT_THRESHOLD
+    def test_unitar_weighs_the_vigor_vector_against_rel_scale_squared(self, factor, verdict):
+        # vig = {1 + b*b | (2b, 0, 0)}, scale 1, threshold 1e-6: the vector part decides
+        b = factor * 0.5e-6
+        c = classify(pv(1, (b, 0, 0)), _REL)
+        assert c.is_proper and c.is_unitar is verdict
+
+
 def _boost(r, n):
     """``{cosh r | sinh r n}`` for a real direction ``n``: determinant one in exact arithmetic."""
     k = math.sinh(r) / math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
@@ -431,6 +462,14 @@ def test_scaling_by_a_number_equals_the_product(p, k):
             p / k
     else:
         assert p / k == want
+
+
+def test_a_difference_beyond_the_float_range_is_not_close():
+    # finite components whose difference has a modulus past the largest float
+    big = pv(complex(1.5e308, 1.5e308), (0, 0, 0))
+    assert not approx_eq(big, ZERO)
+    assert not approx_eq(pv(1e300, (complex(1.5e308, 1.5e308), 0, 0)), ZERO)
+    assert not is_singularly_parallel(big, ONE)
 
 
 def test_overflow_still_raises():

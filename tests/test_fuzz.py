@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, cli, core, run_fuzz
+from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, cli, core, fuzz, run_fuzz
 from paravec.fuzz import (
     _PROPS,
     MUTANTS,
@@ -38,6 +38,10 @@ class _ReadLog:
         if name not in self.names:
             self.names.append(name)
         return value
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called while generating a pack")
 
 
 class TestSplitMix64:
@@ -91,6 +95,17 @@ class TestPackGeneration:
         assert read == set(families)
         # the eagerly drawn families are all declared; the rest are built on read
         assert {name for name in vars(make_pack(42, 0)) if not name.startswith("_")} <= read
+
+    def test_generation_calls_no_library_arithmetic(self, monkeypatch):
+        # packs are built from raw components through _make and Paravector alone,
+        # so a defect in library arithmetic can neither skew nor crash the stream
+        want = [repr(vars(make_pack(42, i))) for i in range(200)]
+        for name in ("scalar_product", "vdot", "component_scale", "_scale"):
+            monkeypatch.setattr(fuzz, name, _refuse)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "rev", "conj"):
+            monkeypatch.setattr(Paravector, name, _refuse)
+        assert [repr(vars(make_pack(42, i))) for i in range(200)] == want
 
     def test_corner_cases_do_appear(self):
         from paravec import ZERO

@@ -94,6 +94,40 @@ class TestRoundTrip:
         assert err.value.entry == (1, 0)
 
 
+# abs = 0, so rel * scale alone sets each threshold below, 1e-3 at the
+# largest entry 1000; each perturbation sits at 0.5 and at 2 times it
+_REL = Tolerance(0.0, 1e-6)
+_AT_THRESHOLD = pytest.mark.parametrize("factor, verdict", [(0.5, True), (2.0, False)])
+_G = Paravector(1000, (1, 2j, -3))
+
+
+def _perturbed(m, i, j, delta):
+    rows = [list(r) for r in m.rows]
+    rows[i][j] += delta
+    return type(m)(rows)
+
+
+class TestVerdictsAtTheThreshold:
+    @_AT_THRESHOLD
+    def test_approx_eq_weighs_the_largest_entry_difference(self, factor, verdict):
+        m = to_matrix4(_G)
+        n = _perturbed(m, 2, 3, factor * 1e-3j)
+        assert m.approx_eq(n, _REL) is verdict
+        assert n.approx_eq(m, _REL) is verdict
+        p = to_pauli(_G)
+        assert p.approx_eq(_perturbed(p, 1, 0, factor * 1e-3), _REL) is verdict
+
+    @_AT_THRESHOLD
+    def test_from_matrix4_weighs_each_entry_against_the_pattern(self, factor, verdict):
+        m = _perturbed(to_matrix4(_G), 3, 1, factor * 1e-3)
+        if verdict:
+            assert from_matrix4(m, _REL) == _G
+        else:
+            with pytest.raises(NotAParavectorMatrix) as err:
+                from_matrix4(m, _REL)
+            assert err.value.entry == (3, 1)
+
+
 class TestMatrixArithmetic:
     @given(paravectors(), paravectors())
     def test_lu_determinant_against_numpy(self, a, b):
@@ -118,6 +152,20 @@ class TestMatrixArithmetic:
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValidationError):
             Matrix4(((1, 2), (3, 4)))
+
+    def test_matrices_of_different_sizes_are_not_close(self):
+        # as with ==, a matrix is never close to one of another type
+        assert not Matrix4.identity().approx_eq(Matrix2.identity())
+        assert not Matrix2.identity().approx_eq(Matrix4.identity())
+        assert not Matrix2.identity().approx_eq(Matrix2.identity().rows)
+
+    @pytest.mark.parametrize(
+        "m", [Matrix2.identity(), Matrix4.identity().rows, [[1, 0, 0, 0]] * 4, None],
+        ids=["Matrix2", "rows", "list", "None"],
+    )
+    def test_from_matrix4_takes_only_a_matrix4(self, m):
+        with pytest.raises(ValidationError, match="expected a 4x4 matrix"):
+            from_matrix4(m)
 
 
 class TestPauli:

@@ -14,6 +14,7 @@ from paravec import (
     DEFAULT_TOL,
     ONE,
     Angle,
+    Classification,
     Matrix2,
     Matrix4,
     Orientation,
@@ -24,7 +25,7 @@ from paravec import (
     classify,
     to_pauli,
 )
-from paravec.fuzz import _PROPS, FuzzReport, PropertyResult
+from paravec.fuzz import _PROPS, FuzzReport, Property, PropertyResult
 
 # (build, repr, __match_args__): build() makes a new value with the same fields
 VALUES = {
@@ -129,3 +130,14 @@ def test_fuzz_properties_unpickle_to_the_registered_one(protocol):
         assert pickle.loads(pickle.dumps(prop, protocol)) is prop
         assert copy.deepcopy(prop) is prop
 
+
+@pytest.mark.parametrize(
+    "cls", [Classification, Property, PropertyResult, FuzzReport], ids=lambda c: c.__name__
+)
+def test_records_are_built_from_exactly_their_fields_in_order(cls):
+    fields = cls.__match_args__
+    record = cls(*range(len(fields)))
+    assert record._fields() == tuple(range(len(fields)))
+    for count in (len(fields) - 1, len(fields) + 1):
+        with pytest.raises(TypeError):
+            cls(*range(count))
