@@ -29,7 +29,7 @@ _INF = math.inf
 def _as_complex(z, what="numbers"):
     """``z`` as a finite complex number, else :class:`ValidationError` naming ``what``."""
     try:
-        if isinstance(z, str):  # complex() would parse numeric text
+        if isinstance(z, (str, bool)):  # complex() would parse numeric text, take a bool
             raise TypeError
         z = complex(z)
     except OverflowError:  # an integer beyond the float range

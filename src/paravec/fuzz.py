@@ -163,7 +163,7 @@ def _draw_complex(rng, min_abs=0.0):
             return z
 
 
-def _draw_real(rng, min_abs=0.0):
+def _draw_real(rng, min_abs):
     while True:
         x = rng.uniform(-2, 2)
         if abs(x) >= min_abs:
@@ -191,16 +191,15 @@ def _times(p, k):
     return _make(p.s * k, (v[0] * k, v[1] * k, v[2] * k))
 
 
-def _nonsingular(rng, min_det=0.1):
-    for _ in range(32):
+def _nonsingular(rng):
+    while True:
         p = _draw_pv(rng)
-        if abs(_sprod(p, p)) > min_det:
+        if abs(_sprod(p, p)) > 0.1:
             return p
-    return Paravector(2 + 0j, (1 + 0j, 0j, 0j))
 
 
-def _proper(rng, min_det=0.1):
-    p = _nonsingular(rng, min_det)
+def _proper(rng):
+    p = _nonsingular(rng)
     d = _sprod(p, p)
     return _times(p, cmath.exp(-0.5j * cmath.phase(d)))
 
@@ -213,14 +212,13 @@ def _singular(rng):
 def _perp_pair(rng):
     a = _nonsingular(rng)
     da = _sprod(a, a)
-    for _ in range(32):
+    while True:
         raw = _draw_pv(rng)
         k = _sprod(a, raw) / da
         u, w = raw.v, a.v
         b = _make(raw.s - a.s * k, (u[0] - w[0] * k, u[1] - w[1] * k, u[2] - w[2] * k))
         if abs(_sprod(b, b)) > 0.05 and _pv_scale(b) > 0.05:
             return a, b
-    return Paravector(1 + 0j, (0j, 0j, 0j)), Paravector(0j, (1 + 0j, 0j, 0j))
 
 
 def _unit_vector(rng):
@@ -231,10 +229,10 @@ def _unit_vector(rng):
             return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def _real_vector(rng, min_norm=0.2):
+def _real_vector(rng):
     while True:
         v = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        if _norm(v) >= min_norm:
+        if _norm(v) >= 0.2:
             return v
 
 
@@ -299,7 +297,7 @@ def _sphere_point(rng):
 
 def _spatial_pair(rng):
     """Spatially parallel but deliberately non-parallel non-singular pair."""
-    for _ in range(64):
+    while True:
         s1 = _draw_complex(rng)
         s2 = _draw_complex(rng)
         mu = _draw_complex(rng, 0.3)
@@ -313,8 +311,6 @@ def _spatial_pair(rng):
             and abs(s2 - mu * s1) * qn > 0.1
         ):
             return a, b
-    a = Paravector(2 + 0j, (1 + 0j, 0j, 0j))
-    return a, Paravector(3 + 0j, (2 + 0j, 0j, 0j))
 
 
 def _corner_triple(rng):
@@ -1003,31 +999,20 @@ _laws(
 # -- mirror and axial symmetry ---------------------------------------------
 
 
-def _mirror_real_formula(p, tol):
+def _reflection(p):
+    """``{s | 2 (v.w) w / (w.w) - v}`` for ``p.a = {s|v}`` and ``w = p.w1``: the axial symmetry."""
     w = p.w1
-    nw = vnorm(w)
-    n = (w[0] / nw, w[1] / nw, w[2] / nw)
+    nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
     v = p.a.v
-    vn = v[0] * n[0] + v[1] * n[1] + v[2] * n[2]
-    nxv = (
-        n[1] * v[2] - n[2] * v[1],
-        n[2] * v[0] - n[0] * v[2],
-        n[0] * v[1] - n[1] * v[0],
-    )
-    tangent = (
-        nxv[1] * n[2] - nxv[2] * n[1],
-        nxv[2] * n[0] - nxv[0] * n[2],
-        nxv[0] * n[1] - nxv[1] * n[0],
-    )
-    expected = Paravector(
-        -p.a.s,
+    vw = v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
+    return Paravector(
+        p.a.s,
         (
-            -n[0] * vn + tangent[0],
-            -n[1] * vn + tangent[1],
-            -n[2] * vn + tangent[2],
+            2.0 * w[0] * vw / nw2 - v[0],
+            2.0 * w[1] * vw / nw2 - v[1],
+            2.0 * w[2] * vw / nw2 - v[2],
         ),
     )
-    return mirror(p.a, w, tol), expected
 
 
 def _axial_is_straight_rotation(p, tol):
@@ -1037,27 +1022,12 @@ def _axial_is_straight_rotation(p, tol):
     return axial_symmetry(p.a, w, tol), rotate(p.a, axis, LEFT)
 
 
-def _axial_real_formula(p, tol):
-    w = p.w1
-    nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
-    v = p.a.v
-    vw = v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
-    expected = Paravector(
-        p.a.s,
-        (
-            2.0 * w[0] * vw / nw2 - v[0],
-            2.0 * w[1] * vw / nw2 - v[1],
-            2.0 * w[2] * vw / nw2 - v[2],
-        ),
-    )
-    return axial_symmetry(p.a, w, tol), expected
-
-
 _laws(
     "mirror",
     ("mirror-involution", lambda p, tol: (mirror(mirror(p.a, p.om1, tol), p.om1, tol), p.a)),
     ("mirror-flips-scalar", lambda p, tol: (mirror(p.a, p.om1, tol).s, -p.a.s)),
-    ("mirror-real-formula", _mirror_real_formula),
+    # the oracle comes first in both formula rows, so each reads w1 before a
+    ("mirror-real-formula", lambda p, tol: (-_reflection(p), mirror(p.a, p.w1, tol))),
     (
         "mirror-composition-is-rotation",
         lambda p, tol: (
@@ -1078,7 +1048,7 @@ _laws(
             g,
         ),
     ),
-    ("axial-real-formula", _axial_real_formula),
+    ("axial-real-formula", lambda p, tol: (_reflection(p), axial_symmetry(p.a, p.w1, tol))),
 )
 
 

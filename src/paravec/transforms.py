@@ -4,9 +4,10 @@ A rotation conjugates a paravector by a determinant-one axis paravector:
 the left form is ``rev(L) * g * L``, the right form ``L * g * rev(L)``.
 An axis of the shape ``{cos(phi) | i n sin(phi)}`` with a real unit
 vector n rotates the spatial part by the angle ``2*phi`` about n, which
-is how ordinary Euclidean rotations embed.  Mirror symmetry sandwiches
-with a purely vectorial paravector and flips the scalar sign; composing
-two mirrors yields a rotation whose axis is computed in closed form.
+is how ordinary Euclidean rotations embed.  Every reflection sandwiches
+g with the plane paravector ``W = {0|w}``: the axial symmetry is
+``W g W / (w.w)``, the mirror its negative, and two mirrors compose to
+the rotation axis ``W1 W2``, normalized.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from .core import (
     DEFAULT_TOL,
     ONE,
-    Paravector,
     _as_cvector,
     _as_real,
     _as_rvector,
@@ -175,40 +175,42 @@ def euler_compose(r1, r2, tol=DEFAULT_TOL):
     return SpatialRotation((m[0] / s, m[1] / s, m[2] / s), math.atan2(s, c))
 
 
-def _anisotropic(w, tol, message):
-    """``(w, w.w, scale)``: ``w`` as a complex 3-vector whose square is nonzero to ``tol``."""
+def _plane(w, tol, message):
+    """``({0|w}, w.w, scale)``: the plane of a normal whose square is nonzero to ``tol``."""
     w = _as_cvector(w)
     ww = vdot(w, w)
     sc = component_scale(w)
     if abs(ww) <= tol.quadratic(sc):
         raise IsotropicNormal(message)
-    return w, ww, sc
+    return _make(0j, w), ww, sc
 
 
 def mirror(g, w, tol=DEFAULT_TOL):
     """Mirror symmetry with respect to the plane with (complex) normal w.
 
-    Sandwiches g between two copies of ``{0|w}`` and divides by the
-    negated square of the normal; the scalar sign flips, the vector
-    component along the normal is reflected.  Normals with ``w.w = 0``
-    are rejected.
+    The negated axial symmetry ``-W g W / (w.w)`` with ``W = {0|w}``: the
+    scalar sign flips, the vector component along the normal is reflected.
+    Normals with ``w.w = 0`` are rejected.
     """
-    w, ww, _ = _anisotropic(w, tol, "mirror normal squares to zero")
-    plane = _make(0j, w)
+    plane, ww, _ = _plane(w, tol, "mirror normal squares to zero")
     return _scale((plane * g) * plane, -1.0 / ww)
 
 
 def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
     """Rotation axis equivalent to mirroring in w1 and then in w2.
 
-    The axis paravector is ``{w1.w2 | i w1 x w2}`` normalized to
-    determinant one; applying the left rotation with it reproduces the
-    two sequential mirrors.
+    The axis paravector is the product ``W1 W2 = {w1.w2 | i w1 x w2}`` of
+    the two planes normalized to determinant one; applying the left
+    rotation with it reproduces the two sequential mirrors.
     """
-    w1, _, s1 = _anisotropic(w1, tol, "mirror normal squares to zero")
-    w2, _, s2 = _anisotropic(w2, tol, "mirror normal squares to zero")
-    cr = vcross(w1, w2)
-    num = Paravector(vdot(w1, w2), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
+    p1, _, s1 = _plane(w1, tol, "mirror normal squares to zero")
+    p2, _, s2 = _plane(w2, tol, "mirror normal squares to zero")
+    # Not p1 * p2: the product adds 0j * 0j to w1.w2, which turns a scalar of
+    # -0 into +0 and can flip cmath.sqrt(d) across its branch cut; then
+    # compose_mirrors((-1, 0, 0), (1j, 0, 0)) would give the axis +1, not -1.
+    u, w = p1.v, p2.v
+    cr = vcross(u, w)
+    num = _make(vdot(u, w), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
     d = num.det()
     if abs(d) <= tol.quadratic(s1 * s2):
         raise DegenerateComposition("mirror normals compose to no definite axis")
@@ -218,10 +220,13 @@ def compose_mirrors(w1, w2, tol=DEFAULT_TOL):
 def axial_symmetry(g, w, tol=DEFAULT_TOL):
     """Straight-angle rotation of g around the (complex) vector w.
 
+    ``W g W / (w.w)`` with ``W = {0|w}``, computed as ``(-iW) g (iW) / (w.w)``:
+    equal in value, but ``W g W`` flips the sign of some zero components.
     Preserves the scalar component; for a real w the vector part maps to
     ``2 (v.n) n - v`` with n the unit direction of w.
     """
-    w, ww, _ = _anisotropic(w, tol, "axial vector squares to zero")
+    plane, ww, _ = _plane(w, tol, "axial vector squares to zero")
+    w = plane.v
     left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
     right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
     return _scale((left * g) * right, 1.0 / ww)

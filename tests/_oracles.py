@@ -1,10 +1,17 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes expected values from raw components or via
-numpy, never through the code paths under test.
+numpy, never through the code paths under test, except the naive copies
+at the end: earlier forms of library code, kept as bit-level references.
 """
 
+import cmath
+
 import numpy as np
+
+from paravec import Paravector, RotationAxis
+from paravec.core import _as_cvector, _make, _scale, component_scale, vcross, vdot
+from paravec.errors import DegenerateComposition, IsotropicNormal
 
 
 def det_components(p):
@@ -129,3 +136,42 @@ def gauss_jordan_inverse(rows):
             if f != 0:
                 a[r] = [er - f * ec for er, ec in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+# The reflections as first written, each plane built on its own: ``{0|w}``
+# for the mirror, the pair ``{0|-iw}``, ``{0|iw}`` for the axial symmetry, and
+# ``{w1.w2 | i w1 x w2}`` from ``vcross`` and ``vdot`` for two mirrors.  They
+# are the bit-level reference for the library's single plane paravector.
+
+
+def _reference_anisotropic(w, tol, message):
+    w = _as_cvector(w)
+    ww = vdot(w, w)
+    sc = component_scale(w)
+    if abs(ww) <= tol.quadratic(sc):
+        raise IsotropicNormal(message)
+    return w, ww, sc
+
+
+def reference_mirror(g, w, tol):
+    w, ww, _ = _reference_anisotropic(w, tol, "mirror normal squares to zero")
+    plane = _make(0j, w)
+    return _scale((plane * g) * plane, -1.0 / ww)
+
+
+def reference_compose_mirrors(w1, w2, tol):
+    w1, _, s1 = _reference_anisotropic(w1, tol, "mirror normal squares to zero")
+    w2, _, s2 = _reference_anisotropic(w2, tol, "mirror normal squares to zero")
+    cr = vcross(w1, w2)
+    num = Paravector(vdot(w1, w2), (1j * cr[0], 1j * cr[1], 1j * cr[2]))
+    d = num.det()
+    if abs(d) <= tol.quadratic(s1 * s2):
+        raise DegenerateComposition("mirror normals compose to no definite axis")
+    return RotationAxis(num * (1.0 / cmath.sqrt(d)))
+
+
+def reference_axial_symmetry(g, w, tol):
+    w, ww, _ = _reference_anisotropic(w, tol, "axial vector squares to zero")
+    left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
+    right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))
+    return _scale((left * g) * right, 1.0 / ww)

@@ -89,6 +89,33 @@ class TestAddition:
         assert 2 - pv(1, (1, 0, 0)) == pv(1, (-1, 0, 0))
 
 
+class TestOperatorProtocol:
+    """Operands that are neither paravectors nor plain numbers get ``NotImplemented``."""
+
+    G = pv(1, (2, 0, 1j))
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda g: g + "x",
+            lambda g: g - "x",
+            lambda g: "x" - g,
+            lambda g: g * "x",
+            lambda g: "x" * g,
+            lambda g: g / "x",
+            lambda g: g + True,
+            lambda g: g * True,
+        ],
+        ids=["add", "sub", "rsub", "mul", "rmul", "truediv", "add-bool", "mul-bool"],
+    )
+    def test_foreign_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(self.G)
+
+    def test_unary_plus_is_the_operand(self):
+        assert +self.G is self.G
+
+
 class TestMultiplication:
     def test_neutral_element(self):
         g = pv(2 - 1j, (1j, 3, 0.5))

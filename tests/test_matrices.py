@@ -153,6 +153,16 @@ class TestMatrixArithmetic:
         with pytest.raises(ValidationError):
             Matrix4(((1, 2), (3, 4)))
 
+    def test_matrices_of_different_sizes_do_not_combine(self):
+        with pytest.raises(TypeError):
+            Matrix4.identity() + Matrix2.identity()
+        with pytest.raises(TypeError):
+            Matrix4.identity() @ Matrix2.identity()
+
+    def test_str_is_the_formatted_grid(self):
+        m = Matrix2.identity()
+        assert str(m) == format_matrix(m.rows)
+
     def test_matrices_of_different_sizes_are_not_close(self):
         # as with ==, a matrix is never close to one of another type
         assert not Matrix4.identity().approx_eq(Matrix2.identity())

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -313,6 +313,52 @@ class TestAxialSymmetry:
             Paravector(0, tuple(1j * x / nw for x in w))
         )
         assert approx_eq(axial_symmetry(g, w), rotate(g, axis, LEFT), TOL8)
+
+
+def _outcome(call, *args):
+    """``repr`` of the result, signed zeros included, or the error's type and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# exact and signed zeros are where a reordered product changes bits
+_coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(min_value=-1e3, max_value=1e3)
+_complex = st.builds(complex, _coord, _coord)
+_paravectors = st.builds(Paravector, _complex, st.tuples(_complex, _complex, _complex))
+_isotropic = st.builds(
+    lambda k, w: tuple(k * z for z in w),
+    _complex,
+    st.sampled_from([(1, 1j, 0), (0, 2, -2j), (1j, 0, 1), (3, 4, 5j)]),
+)
+normals = st.one_of(st.tuples(_coord, _coord, _coord), st.tuples(_complex, _complex, _complex),
+                    _isotropic)
+normal_pairs = st.one_of(
+    st.tuples(normals, normals),
+    st.builds(lambda w, k: (w, tuple(k * z for z in w)), normals, _complex),
+)
+tolerances = st.sampled_from([Tolerance(), TOL8, Tolerance(0.0, 0.0)])
+
+
+class TestReflectionsMatchTheirFirstForm:
+    """Bit for bit, errors included, against the copies in ``_oracles``."""
+
+    @given(_paravectors, normals, tolerances)
+    def test_mirror(self, g, w, tol):
+        assert _outcome(mirror, g, w, tol) == _outcome(oracles.reference_mirror, g, w, tol)
+
+    @given(_paravectors, normals, tolerances)
+    @example(Paravector(1j, (2.5, 1j, 1j)), (-1, 1j, 1j), Tolerance())
+    def test_axial_symmetry(self, g, w, tol):
+        want = _outcome(oracles.reference_axial_symmetry, g, w, tol)
+        assert _outcome(axial_symmetry, g, w, tol) == want
+
+    @given(normal_pairs, tolerances)
+    @example(((-1, 0, 0), (1j, 0, 0)), Tolerance())
+    def test_compose_mirrors(self, pair, tol):
+        want = _outcome(oracles.reference_compose_mirrors, *pair, tol)
+        assert _outcome(compose_mirrors, *pair, tol) == want
 
 
 class TestOrthogonalTransform:

@@ -80,6 +80,12 @@ MALFORMED = {
     "scale-complex-inf": lambda: core.component_scale((complex(math.inf, 0),)),
     "scale-complex-nan-number": lambda: core.component_scale(complex(math.nan), 3.0),
     "scale-complex-inf-imag": lambda: core.component_scale([1j, complex(0, -math.inf)]),
+    "scalar-bool": lambda: Paravector(True, (0, 0, 0)),
+    "wire-bool": lambda: from_wire([True] + [0] * 7),
+    "tolerance-bool": lambda: Tolerance(True, False),
+    "rotation-phi-bool": lambda: SpatialRotation((1, 0, 0), True),
+    "scale-bool": lambda: core.component_scale(True),
+    "mirror-normal-bool": lambda: mirror(paravec.ONE, (True, 0, 0)),
 }
 
 
