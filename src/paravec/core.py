@@ -330,10 +330,7 @@ class Paravector(_Value):
             return _scale(self, complex(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _NUMBER_TYPES) and not isinstance(other, bool):
-            return _scale(self, complex(other))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER_TYPES) and not isinstance(other, bool):
@@ -449,7 +446,11 @@ def _det_verdict(p, tol):
     d = p.det()
     sc = _pv_scale(p)
     thr = tol.quadratic(sc)
-    return d, sc, abs(d) <= thr, abs(d.imag) <= thr and d.real > thr
+    try:
+        singular = abs(d) <= thr
+    except OverflowError:  # finite parts, but a modulus beyond the float range
+        raise ValidationError("determinant overflows: components too large") from None
+    return d, sc, singular, abs(d.imag) <= thr and d.real > thr
 
 
 def _pv_scale(p):
@@ -516,4 +517,5 @@ def _deviation(a, b):
 
 def approx_eq(a, b, tol=DEFAULT_TOL):
     """Componentwise closeness, scaled by the largest component of either side."""
-    return _deviation(a, b) <= tol.linear(component_scale(a, b))
+    sa, sb = _pv_scale(a), _pv_scale(b)
+    return _deviation(a, b) <= tol.linear(sa if sa > sb else sb)

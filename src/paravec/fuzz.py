@@ -146,14 +146,22 @@ def trial_seed(seed, index):
 # ---------------------------------------------------------------------------
 
 
+def _parts(a, d, b, c):
+    """The paravector ``{a + i d | b + i c}`` of eight real parts."""
+    return _make(complex(a, d), (complex(b[0], c[0]), complex(b[1], c[1]), complex(b[2], c[2])))
+
+
+def _rev(p):
+    """The reversion of ``p``: its vector part negated."""
+    v = p.v
+    return _make(p.s, (-v[0], -v[1], -v[2]))
+
+
 def _draw_pv(rng):
     a, d = rng.uniform(-2, 2), rng.uniform(-2, 2)
     b = [rng.uniform(-2, 2) for _ in range(3)]
     c = [rng.uniform(-2, 2) for _ in range(3)]
-    return _make(
-        complex(a, d),
-        (complex(b[0], c[0]), complex(b[1], c[1]), complex(b[2], c[2])),
-    )
+    return _parts(a, d, b, c)
 
 
 def _draw_complex(rng, min_abs=0.0):
@@ -259,14 +267,7 @@ def _unitar(rng):
 
 
 def _real_paravector(rng):
-    return _make(
-        complex(rng.uniform(-2, 2)),
-        (
-            complex(rng.uniform(-2, 2)),
-            complex(rng.uniform(-2, 2)),
-            complex(rng.uniform(-2, 2)),
-        ),
-    )
+    return _parts(rng.uniform(-2, 2), 0.0, [rng.uniform(-2, 2) for _ in range(3)], (0.0,) * 3)
 
 
 def _hyperbolic_pair(rng):
@@ -281,18 +282,13 @@ def _hyperbolic_pair(rng):
         u = rng.uniform(0.3, 1.5)
         t = rng.uniform(0.5, 1.5)
         sign = 1.0 if rng.u01() < 0.5 else -1.0
-        pair.append(
-            _make(
-                complex(sign * u * math.cosh(t)),
-                (complex(u * n[0]), complex(u * n[1]), complex(u * n[2])),
-            )
-        )
+        pair.append(_parts(sign * u * math.cosh(t), 0.0, [u * x for x in n], (0.0,) * 3))
     return pair[0], pair[1]
 
 
 def _sphere_point(rng):
     x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-    return _make(complex(_norm(x)), (complex(x[0]), complex(x[1]), complex(x[2])))
+    return _parts(_norm(x), 0.0, x, (0.0,) * 3)
 
 
 def _spatial_pair(rng):
@@ -326,36 +322,19 @@ def _corner_triple(rng):
         return _special(rng), _special(rng), g
     if pick == 4:
         u = _unitar(rng)
-        u_rev = Paravector(u.s, (-u.v[0], -u.v[1], -u.v[2]))
-        return u, u_rev, g
+        return u, _rev(u), g
     if pick == 5:
         lam = _draw_real(rng, 0.2)
         return g, _times(g, lam), g
     if pick == 6:
-        g_rev = Paravector(g.s, (-g.v[0], -g.v[1], -g.v[2]))
-        g_conj = Paravector(
-            g.s.conjugate(),
-            (g.v[0].conjugate(), g.v[1].conjugate(), g.v[2].conjugate()),
-        )
-        return g, g_rev, g_conj
+        return g, _rev(g), _make(g.s.conjugate(), tuple(z.conjugate() for z in g.v))
     if pick == 7:
-        signs = [1.0 if rng.u01() < 0.5 else -1.0 for _ in range(8)]
-        return (
-            Paravector(
-                complex(2 * signs[0], 2 * signs[1]),
-                (
-                    complex(2 * signs[2], 2 * signs[5]),
-                    complex(2 * signs[3], 2 * signs[6]),
-                    complex(2 * signs[4], 2 * signs[7]),
-                ),
-            ),
-            g,
-            _draw_pv(rng),
-        )
+        x = [2.0 if rng.u01() < 0.5 else -2.0 for _ in range(8)]
+        return _parts(x[0], x[1], x[2:5], x[5:]), g, _draw_pv(rng)
     if pick == 8:
         return _times(g, 1e-12), g, _draw_pv(rng)
     s = _sphere_point(rng)
-    return s, Paravector(s.s, (-s.v[0], -s.v[1], -s.v[2])), g
+    return s, _rev(s), g
 
 
 class TrialPack:
@@ -487,14 +466,14 @@ def _near(x, y, tol, scale=None):
 
 
 class Property(_Value):
-    __match_args__ = __slots__ = ("suite", "name", "check")
+    __match_args__ = __slots__ = ("suite", "name", "law")
 
     @property
     def full_name(self):
         return f"{self.suite}/{self.name}"
 
     def __reduce__(self):
-        # the check wraps a law, often a lambda, and does not pickle by reference
+        # the law is often a lambda, and does not pickle by reference
         return _registered, (self.full_name,)
 
 
@@ -509,7 +488,7 @@ def _registered(full_name):
 def _laws(suite, *rows):
     """Register each ``(name, law)`` row as a property of ``suite``, in order."""
     for name, law in rows:
-        _PROPS.append(Property(suite, name, partial(_holds, law)))
+        _PROPS.append(Property(suite, name, law))
 
 
 def _variants(pattern, variants, law):
@@ -1327,7 +1306,7 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
             pack = make_pack(seed, i)
             for j, prop in enumerate(props):
                 try:
-                    ok = prop.check(pack, tol)
+                    ok = _holds(prop.law, pack, tol)
                     error = None
                 except Exception as exc:
                     ok = False
@@ -1337,7 +1316,7 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                     if counterexamples[j] is None:
                         view = _Recording(pack)
                         with suppress(Exception):
-                            prop.check(view, tol)
+                            _holds(prop.law, view, tol)
                         ce = {"trial": i, "inputs": view.inputs}
                         if error is not None:
                             ce["error"] = error

@@ -22,9 +22,9 @@ from .core import (
     _as_real,
     _as_rvector,
     _make,
+    _pv_scale,
     _scale,
     _Value,
-    component_scale,
     is_orthogonal_transform,
     vcross,
     vdot,
@@ -177,12 +177,16 @@ def euler_compose(r1, r2, tol=DEFAULT_TOL):
 
 def _plane(w, tol, message):
     """``({0|w}, w.w, scale)``: the plane of a normal whose square is nonzero to ``tol``."""
-    w = _as_cvector(w)
-    ww = vdot(w, w)
-    sc = component_scale(w)
-    if abs(ww) <= tol.quadratic(sc):
+    plane = _make(0j, _as_cvector(w))
+    ww = vdot(plane.v, plane.v)
+    sc = _pv_scale(plane)
+    try:
+        isotropic = abs(ww) <= tol.quadratic(sc)
+    except OverflowError:  # finite parts, but a modulus beyond the float range
+        raise ValidationError("w.w overflows: components too large") from None
+    if isotropic:
         raise IsotropicNormal(message)
-    return _make(0j, w), ww, sc
+    return plane, ww, sc
 
 
 def mirror(g, w, tol=DEFAULT_TOL):

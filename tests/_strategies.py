@@ -10,6 +10,11 @@ from paravec.wire import from_wire
 
 components = st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False)
 
+# exact and signed zeros are where a reordered product changes bits
+coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(min_value=-1e3, max_value=1e3)
+complexes = st.builds(complex, coords, coords)
+zero_rich_paravectors = st.builds(Paravector, complexes, st.tuples(complexes, complexes, complexes))
+
 
 @st.composite
 def paravectors(draw):

@@ -14,6 +14,7 @@ from paravec.fuzz import (
     _PROPS,
     MUTANTS,
     TrialPack,
+    _holds,
     _mutated,
     _Recording,
     make_pack,
@@ -88,7 +89,7 @@ class TestPackGeneration:
             for prop in _PROPS:
                 view = _Recording(pack)
                 with contextlib.suppress(Exception):
-                    prop.check(view, DEFAULT_TOL)
+                    _holds(prop.law, view, DEFAULT_TOL)
                 read |= view.inputs.keys()
         families = TrialPack._FAMILIES
         assert len(set(families)) == len(families)
@@ -172,7 +173,7 @@ class TestRunFuzz:
         assert failing
         ce = failing[0].counterexample
         assert ce is not None and "trial" in ce and "inputs" in ce
-        checks = {prop.full_name: prop.check for prop in _PROPS}
+        laws = {prop.full_name: prop.law for prop in _PROPS}
         for mutant in MUTANTS:
             report = run_fuzz(seed=42, trials=50, mutant=mutant)
             failing = [p for p in report.properties if p.fails]
@@ -182,7 +183,7 @@ class TestRunFuzz:
                     ce = result.counterexample
                     pack = _ReadLog(make_pack(42, ce["trial"]))
                     try:
-                        ok = checks[result.name](pack, DEFAULT_TOL)
+                        ok = _holds(laws[result.name], pack, DEFAULT_TOL)
                     except Exception:
                         ok = False
                     assert not ok, result.name
@@ -197,7 +198,7 @@ class TestRunFuzz:
         assert all(p.counterexample is None for p in run_fuzz(seed=42, trials=50).properties)
         # a check that runs to the end lists every family it reads, lam included
         view = _Recording(make_pack(42, 0))
-        assert checks["parallel/parallel-iff-scalar-multiple"](view, DEFAULT_TOL)
+        assert _holds(laws["parallel/parallel-iff-scalar-multiple"], view, DEFAULT_TOL)
         assert list(view.inputs) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
         assert view.inputs["lam"] == to_wire(view.lam)
 

@@ -8,7 +8,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _strategies import components
@@ -420,6 +420,9 @@ def _pv_calls(draw):
 
 
 @given(_pv_calls())
+# finite operands whose determinant, or whose w.w, has a modulus beyond the float range
+@example((["classify", "[1.2e154,0.6e154,0,0,0,0,0,0]"], ""))
+@example((["mirror", "[1,0,0,0,0,0,0,0]", "[1.2e154,0,0,0.6e154,0,0]"], ""))
 def test_every_pv_call_exits_with_a_documented_code(call):
     # in process: main returns its exit code and raises nothing, whatever the text
     argv, stdin = call
