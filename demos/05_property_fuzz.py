@@ -29,8 +29,8 @@ for r in caught[:5]:
           f"first at trial {r.counterexample['trial']})")
 
 first = caught[0]
-print("\nA counterexample lists, in wire form, each operand family its failing")
-print(f"check read, in reading order. For {first.name}:")
+print("\nA counterexample lists, in wire form, each operand the failing law")
+print(f"takes, in the order of its parameters. For {first.name}:")
 for name, value in first.counterexample["inputs"].items():
     print(f"  {name} = {value}")
 

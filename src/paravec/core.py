@@ -253,9 +253,15 @@ class Paravector(_Value):
         Raises :class:`SingularParavector` when the determinant is zero
         to tolerance.
         """
-        d, _, singular, _ = _det_verdict(self, tol)
+        d, sc, singular, _ = _det_verdict(self, tol)
         if singular:
             raise SingularParavector("singular paravector has no inverse")
+        if sc > 2.0**509:
+            # 1/d could leave the normal range: invert k*self, with scale in
+            # [1/2, 1), and multiply back by the power of two k
+            k = 2.0 ** -math.frexp(sc)[1]
+            q = _scale(self, k)
+            return _scale(_scale(q.rev(), 1.0 / q.det()), k)
         return _scale(self.rev(), 1.0 / d)
 
     def module(self, tol=DEFAULT_TOL):

@@ -5,7 +5,7 @@ property grouped into suites (ring, involution, detvig, product,
 parallel, metric, angle, rotation, mirror, matrix, orthogonal).  A
 campaign draws one deterministic pack of operands per trial and evaluates
 every property against it; the report lists pass/fail counts and, per
-property, the first failing trial with the operand families its check read.
+property, the first failing trial with the operands its law takes.
 
 Determinism and portability
 ---------------------------
@@ -20,17 +20,19 @@ trials are independent streams and a report is a pure function of
 with 10% probability a trial swaps in a structured corner case (zero,
 identity, a singular pair, special/unitar forms, scaled copies, extreme
 and tiny components).  Generation calls no library arithmetic.  The
-rotations and axes are built by the library when a check first reads them,
+rotations and axes are built by the library when a law first takes them,
 so a defect that raises there fails, with its error, only the properties
-that read them.
+that take them.
 
 Laws and judgement
 ------------------
 Each suite is a table of ``(name, law)`` rows in report order, QuickCheck's
-"laws as data" (Claessen and Hughes, ICFP 2000).  A law returns or yields
-claims, which ``_holds`` asserts in order; ``_near`` gives a law a verdict to
-combine.  Both weigh through ``_weigh``, the one place that sets an error
-against a threshold.
+"laws as data" (Claessen and Hughes, ICFP 2000).  A law is a function of the
+pack families it takes, named by its parameters and followed by ``tol``, as
+in ``lambda a, b, tol: (a + b, b + a)``; the registry reads those names once.
+A law returns or yields claims, which ``_holds`` asserts in order; ``_near``
+gives a law a verdict to combine.  Both weigh through ``_weigh``, the one
+place that sets an error against a threshold.
 
 Mutation self-test
 ------------------
@@ -45,9 +47,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from functools import cached_property, partial
-from operator import methodcaller, sub
+from itertools import takewhile
+from operator import attrgetter, methodcaller, sub
 
 from . import core, matrices
 from .core import (
@@ -338,19 +341,12 @@ def _corner_triple(rng):
 
 
 class TrialPack:
-    """The operand families the checks read, drawn in a fixed order.
+    """The operand families the laws take, drawn in a fixed order.
 
     ``rot1``, ``rot2``, ``axis1`` and ``axis2`` are built from their draws on
-    first read, so an error raised building one is raised by each check
-    that reads it, and ``run_fuzz`` reports it as that property's failure.
+    first read, so an error raised building one is raised for each law
+    that takes it, and ``run_fuzz`` reports it as that property's failure.
     """
-
-    _FAMILIES = (
-        "a", "b", "c", "lam", "mu", "s_real", "tau", "nonsing1", "nonsing2", "proper1",
-        "proper2", "perp1", "perp2", "par1", "par2", "sing1", "sing2", "sphere", "special1",
-        "special2", "realpv1", "realpv2", "hyp1", "hyp2", "sp_a", "sp_b", "w1", "w2", "om1",
-        "om2", "rot1", "rot2", "axis1", "axis2",
-    )
 
     def __init__(self, rng):
         if rng.u01() < 0.10:
@@ -430,15 +426,15 @@ def _weigh(tol, x, y, scale=None):
     return error, tol.linear(scale)
 
 
-def _holds(law, p, tol):
-    """The assertion point: every claim of ``law(p, tol)`` holds.
+def _holds(law, operands, tol):
+    """The assertion point: every claim of ``law(*operands, tol)`` holds.
 
     A claim is a verdict that must be true, or ``(lhs, rhs)`` or ``(lhs, rhs,
     scale)`` whose sides must agree.  Claims are taken in order and the first
-    false one ends the law, so a law reads its operands, and may raise, only
-    as far as it got.
+    false one ends the law, so a law computes, and may raise, only as far as
+    it got.
     """
-    claims = law(p, tol)
+    claims = law(*operands, tol)
     if type(claims) is tuple:
         error, threshold = _weigh(tol, *claims)
         return error <= threshold
@@ -466,11 +462,10 @@ def _near(x, y, tol, scale=None):
 
 
 class Property(_Value):
-    __match_args__ = __slots__ = ("suite", "name", "law")
+    """A registered law: ``operands`` names the pack families it takes, in
+    order, and ``fetch(pack)`` returns them as a tuple."""
 
-    @property
-    def full_name(self):
-        return f"{self.suite}/{self.name}"
+    __match_args__ = __slots__ = ("suite", "name", "full_name", "law", "operands", "fetch")
 
     def __reduce__(self):
         # the law is often a lambda, and does not pickle by reference
@@ -485,14 +480,32 @@ def _registered(full_name):
     return next(p for p in _PROPS if p.full_name == full_name)
 
 
+def _operands(law):
+    """The families ``law`` takes: its parameters before ``tol``, after those ``partial`` binds."""
+    bound = ()
+    if type(law) is partial:
+        law, bound = law.func, law.args
+    code = law.__code__
+    return code.co_varnames[len(bound) : code.co_argcount - 1]
+
+
+def _fetcher(operands):
+    """A getter of the families ``operands`` from a pack, as a tuple."""
+    if len(operands) > 1:
+        return attrgetter(*operands)
+    (name,) = operands
+    return lambda pack: (getattr(pack, name),)
+
+
 def _laws(suite, *rows):
     """Register each ``(name, law)`` row as a property of ``suite``, in order."""
     for name, law in rows:
-        _PROPS.append(Property(suite, name, law))
+        operands = _operands(law)
+        _PROPS.append(Property(suite, name, f"{suite}/{name}", law, operands, _fetcher(operands)))
 
 
 def _variants(pattern, variants, law):
-    """One row per ``(label, variant)``: ``pattern.format(label)`` and ``law(variant, p, tol)``."""
+    """One row per ``(label, variant)``: ``pattern.format(label)`` and ``partial(law, variant)``."""
     return [(pattern.format(label), partial(law, variant)) for label, variant in variants]
 
 
@@ -503,11 +516,10 @@ def _zero_iff_singular(quantity, degree):
     operand's component scale to the power ``degree``.
     """
 
-    def law(p, tol):
-        s, n = p.sing1, p.nonsing1
-        zero, nonzero = quantity(s), quantity(n)
-        yield zero, 0.0, component_scale(s) ** degree
-        yield not _near(nonzero, 0.0, tol, component_scale(n) ** degree)
+    def law(sing1, nonsing1, tol):
+        zero, nonzero = quantity(sing1), quantity(nonsing1)
+        yield zero, 0.0, component_scale(sing1) ** degree
+        yield not _near(nonzero, 0.0, tol, component_scale(nonsing1) ** degree)
 
     return law
 
@@ -516,27 +528,27 @@ def _zero_iff_singular(quantity, degree):
 # the operation up when it is called: ``methodcaller``, not ``Paravector.rev``.
 _INVOLUTIONS = (("rev", methodcaller("rev")), ("conj", methodcaller("conj")))
 _ORIENTATIONS = tuple((o.value, o) for o in (RIGHT, LEFT))
-_ACTIONS = (("left", lambda lam, g: lam * g), ("right", lambda lam, g: g * lam))
+_ACTIONS = (("left", lambda u, g: u * g), ("right", lambda u, g: g * u))
 
 
 # -- ring axioms ------------------------------------------------------------
 
 
-def _mul_identity(p, tol):
-    yield ONE * p.a, p.a
-    yield p.a * ONE, p.a
+def _mul_identity(a, tol):
+    yield ONE * a, a
+    yield a * ONE, a
 
 
 _laws(
     "ring",
-    ("add-commutative", lambda p, tol: (p.a + p.b, p.b + p.a)),
-    ("add-associative", lambda p, tol: ((p.a + p.b) + p.c, p.a + (p.b + p.c))),
-    ("add-identity", lambda p, tol: (p.a + ZERO, p.a)),
-    ("add-opposite", lambda p, tol: (p.a + (-p.a), ZERO)),
+    ("add-commutative", lambda a, b, tol: (a + b, b + a)),
+    ("add-associative", lambda a, b, c, tol: ((a + b) + c, a + (b + c))),
+    ("add-identity", lambda a, tol: (a + ZERO, a)),
+    ("add-opposite", lambda a, tol: (a + (-a), ZERO)),
     ("mul-identity", _mul_identity),
-    ("mul-associative", lambda p, tol: ((p.a * p.b) * p.c, p.a * (p.b * p.c))),
-    ("distributes-left", lambda p, tol: (p.a * (p.b + p.c), p.a * p.b + p.a * p.c)),
-    ("distributes-right", lambda p, tol: ((p.a + p.b) * p.c, p.a * p.c + p.b * p.c)),
+    ("mul-associative", lambda a, b, c, tol: ((a * b) * c, a * (b * c))),
+    ("distributes-left", lambda a, b, c, tol: (a * (b + c), a * b + a * c)),
+    ("distributes-right", lambda a, b, c, tol: ((a + b) * c, a * c + b * c)),
 )
 
 
@@ -544,16 +556,14 @@ _laws(
 
 _laws(
     "involution",
-    *_variants("{}-involution", _INVOLUTIONS, lambda inv, p, tol: (inv(inv(p.a)), p.a)),
-    *_variants(
-        "{}-additive", _INVOLUTIONS, lambda inv, p, tol: (inv(p.a + p.b), inv(p.a) + inv(p.b))
-    ),
+    *_variants("{}-involution", _INVOLUTIONS, lambda inv, a, tol: (inv(inv(a)), a)),
+    *_variants("{}-additive", _INVOLUTIONS, lambda inv, a, b, tol: (inv(a + b), inv(a) + inv(b))),
     *_variants(
         "{}-antimultiplicative",
         _INVOLUTIONS,
-        lambda inv, p, tol: (inv(p.a * p.b), inv(p.b) * inv(p.a)),
+        lambda inv, a, b, tol: (inv(a * b), inv(b) * inv(a)),
     ),
-    ("rev-conj-commute", lambda p, tol: (p.a.rev().conj(), p.a.conj().rev())),
+    ("rev-conj-commute", lambda a, tol: (a.rev().conj(), a.conj().rev())),
 )
 
 
@@ -584,58 +594,57 @@ def _vig_components(g):
     return Paravector(scalar, (complex(vec[0]), complex(vec[1]), complex(vec[2])))
 
 
-def _vig_real_nonnegative(p, tol):
-    w = p.a.vig()
+def _vig_real_nonnegative(a, tol):
+    w = a.vig()
     # the imaginary parts, and the real scalar part where it is negative
     off = (w.s.imag, min(w.s.real, 0.0), w.v[0].imag, w.v[1].imag, w.v[2].imag)
-    return off, (0.0,) * 5, component_scale(p.a) ** 2
+    return off, (0.0,) * 5, component_scale(a) ** 2
 
 
-def _proper_singular_condition(p, tol):
-    cls = classify(p.a, tol)
+def _proper_singular_condition(a, tol):
+    cls = classify(a, tol)
     if cls.is_proper or cls.is_singular:
-        g = p.a
-        bc = g.v[0].real * g.v[0].imag + g.v[1].real * g.v[1].imag + g.v[2].real * g.v[2].imag
-        yield g.s.real * g.s.imag - bc, 0.0, component_scale(g) ** 2
+        bc = a.v[0].real * a.v[0].imag + a.v[1].real * a.v[1].imag + a.v[2].real * a.v[2].imag
+        yield a.s.real * a.s.imag - bc, 0.0, component_scale(a) ** 2
 
 
-def _special_closure(p, tol):
-    closed = (p.special1 * p.special2, p.special1 + p.special2, p.special1.inverse(tol))
+def _special_closure(special1, special2, tol):
+    closed = (special1 * special2, special1 + special2, special1.inverse(tol))
     return all(classify(g, tol).is_special for g in closed)
 
 
 _laws(
     "detvig",
-    ("det-closed-form", lambda p, tol: (p.a.det(), _det_components(p.a))),
-    ("vig-closed-form", lambda p, tol: (p.a.vig(), _vig_components(p.a))),
+    ("det-closed-form", lambda a, tol: (a.det(), _det_components(a))),
+    ("vig-closed-form", lambda a, tol: (a.vig(), _vig_components(a))),
     ("vig-real-nonnegative", _vig_real_nonnegative),
-    ("det-multiplicative", lambda p, tol: ((p.a * p.b).det(), p.a.det() * p.b.det())),
-    ("det-of-rev", lambda p, tol: (p.a.rev().det(), p.a.det())),
-    ("det-of-conj", lambda p, tol: (p.a.conj().det(), p.a.det().conjugate())),
-    ("rev-product-commutes", lambda p, tol: (p.a * p.a.rev(), p.a.rev() * p.a)),
+    ("det-multiplicative", lambda a, b, tol: ((a * b).det(), a.det() * b.det())),
+    ("det-of-rev", lambda a, tol: (a.rev().det(), a.det())),
+    ("det-of-conj", lambda a, tol: (a.conj().det(), a.det().conjugate())),
+    ("rev-product-commutes", lambda a, tol: (a * a.rev(), a.rev() * a)),
     ("proper-singular-condition", _proper_singular_condition),
     (
         "module-scalar-multiplicative",
-        lambda p, tol: (
-            (p.proper1 * p.s_real).module(tol),
-            abs(p.s_real) * p.proper1.module(tol),
+        lambda proper1, s_real, tol: (
+            (proper1 * s_real).module(tol),
+            abs(s_real) * proper1.module(tol),
         ),
     ),
     (
         "module-multiplicative",
-        lambda p, tol: (
-            (p.proper1 * p.proper2).module(tol),
-            p.proper1.module(tol) * p.proper2.module(tol),
+        lambda proper1, proper2, tol: (
+            (proper1 * proper2).module(tol),
+            proper1.module(tol) * proper2.module(tol),
         ),
     ),
     (
         "orthogonal-rev-is-inverse",
-        lambda p, tol: ((lam := p.proper1.normalize(tol)).inverse(tol), lam.rev()),
+        lambda proper1, tol: ((u := proper1.normalize(tol)).inverse(tol), u.rev()),
     ),
     ("special-closure", _special_closure),
     (
         "singular-absorbs",
-        lambda p, tol: ((p.sing1 * p.b).det(), 0.0, component_scale(p.sing1, p.b) ** 4),
+        lambda sing1, b, tol: ((sing1 * b).det(), 0.0, component_scale(sing1, b) ** 4),
     ),
 )
 
@@ -643,46 +652,45 @@ _laws(
 # -- integrated, scalar, and vector products ----------------------------------
 
 
-def _scalar_parts_agree(p, tol):
-    r, l = (integrated(p.a, p.b, o).s for o in (RIGHT, LEFT))
-    sp = scalar_product(p.a, p.b)
+def _scalar_parts_agree(a, b, tol):
+    r, l = (integrated(a, b, o).s for o in (RIGHT, LEFT))
+    sp = scalar_product(a, b)
     yield r, sp
     yield l, sp
 
 
-def _det_factorizes(p, tol):
-    target = p.a.det() * p.b.det()
+def _det_factorizes(a, b, tol):
+    target = a.det() * b.det()
     for o in (RIGHT, LEFT):
-        yield integrated(p.a, p.b, o).det(), target
-    sp, vv = scalar_product(p.a, p.b), vector_product(p.a, p.b, RIGHT)
+        yield integrated(a, b, o).det(), target
+    sp, vv = scalar_product(a, b), vector_product(a, b, RIGHT)
     yield sp * sp - vdot(vv, vv), target
 
 
-def _scalar_homogeneous(o, p, tol):
-    base = integrated(p.a, p.b, o) * p.lam
-    scaled = integrated(p.a * p.lam, p.b, o), integrated(p.a, p.b * p.lam, o)
+def _scalar_homogeneous(o, a, b, lam, tol):
+    base = integrated(a, b, o) * lam
+    scaled = integrated(a * lam, b, o), integrated(a, b * lam, o)
     for g in scaled:
         yield g, base
 
 
-def _rev_swaps_arguments(p, tol):
+def _rev_swaps_arguments(a, b, tol):
     for o in (RIGHT, LEFT):
-        yield integrated(p.a, p.b, o).rev(), integrated(p.b, p.a, o)
+        yield integrated(a, b, o).rev(), integrated(b, a, o)
 
 
-def _self_product_is_det(p, tol):
-    expected = Paravector(p.a.det(), (0j, 0j, 0j))
+def _self_product_is_det(a, tol):
+    expected = Paravector(a.det(), (0j, 0j, 0j))
     for o in (RIGHT, LEFT):
-        yield integrated(p.a, p.a, o), expected
+        yield integrated(a, a, o), expected
 
 
-def _singular_self_scalar(p, tol):
-    yield scalar_product(p.sing1, p.sing1), 0.0, component_scale(p.sing1) ** 2
-    yield classify(p.sing1, tol).is_singular
+def _singular_self_scalar(sing1, tol):
+    yield scalar_product(sing1, sing1), 0.0, component_scale(sing1) ** 2
+    yield classify(sing1, tol).is_singular
 
 
-def _spatial_embedding_dot(p, tol):
-    w1, w2 = p.w1, p.w2
+def _spatial_embedding_dot(w1, w2, tol):
     dot = w1[0] * w2[0] + w1[1] * w2[1] + w1[2] * w2[2]
     real = [Paravector(0j, (complex(w[0]), complex(w[1]), complex(w[2]))) for w in (w1, w2)]
     imag = [Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2])) for w in (w1, w2)]
@@ -697,22 +705,22 @@ _laws(
     *_variants(
         "{}-add-bilinear",
         _ORIENTATIONS,
-        lambda o, p, tol: (
-            integrated(p.a + p.b, p.c, o),
-            integrated(p.a, p.c, o) + integrated(p.b, p.c, o),
+        lambda o, a, b, c, tol: (
+            integrated(a + b, c, o),
+            integrated(a, c, o) + integrated(b, c, o),
         ),
     ),
     *_variants("scalar-homogeneous-{}", _ORIENTATIONS, _scalar_homogeneous),
     ("rev-swaps-arguments", _rev_swaps_arguments),
     ("self-product-is-det", _self_product_is_det),
-    ("scalar-symmetric", lambda p, tol: (scalar_product(p.a, p.b), scalar_product(p.b, p.a))),
+    ("scalar-symmetric", lambda a, b, tol: (scalar_product(a, b), scalar_product(b, a))),
     ("singular-self-scalar", _singular_self_scalar),
     ("spatial-embedding-dot", _spatial_embedding_dot),
     (
         "real-vector-product-conjugation",
-        lambda p, tol: (
-            vector_product(p.realpv1, p.realpv2, RIGHT),
-            tuple(-z.conjugate() for z in vector_product(p.realpv1, p.realpv2, LEFT)),
+        lambda realpv1, realpv2, tol: (
+            vector_product(realpv1, realpv2, RIGHT),
+            tuple(-z.conjugate() for z in vector_product(realpv1, realpv2, LEFT)),
         ),
     ),
 )
@@ -721,34 +729,34 @@ _laws(
 # -- parallelism and perpendicularity -----------------------------------------
 
 
-def _parallel_iff_scalar_multiple(p, tol):
-    yield is_parallel(p.par2, p.par1, tol)
-    lam = parallel_ratio(p.par2, p.par1)
-    yield lam, p.lam
-    yield p.par2, p.par1 * lam
-    generic = is_parallel(p.nonsing1, p.nonsing2, tol)
-    ratio = parallel_ratio(p.nonsing1, p.nonsing2)
-    yield generic == _near(p.nonsing1, p.nonsing2 * ratio, tol)
+def _parallel_iff_scalar_multiple(par2, par1, lam, nonsing1, nonsing2, tol):
+    yield is_parallel(par2, par1, tol)
+    k = parallel_ratio(par2, par1)
+    yield k, lam
+    yield par2, par1 * k
+    generic = is_parallel(nonsing1, nonsing2, tol)
+    ratio = parallel_ratio(nonsing1, nonsing2)
+    yield generic == _near(nonsing1, nonsing2 * ratio, tol)
 
 
-def _parallel_equivalence(p, tol):
-    third = p.par2 * p.mu
-    pairs = ((p.par1, p.par1), (p.par1, p.par2), (p.par2, p.par1), (p.par1, third))
+def _parallel_equivalence(par2, mu, par1, tol):
+    third = par2 * mu
+    pairs = ((par1, par1), (par1, par2), (par2, par1), (par1, third))
     return all(is_parallel(x, y, tol) for x, y in pairs)
 
 
-def _orthogonal_parallel_sign(p, tol):
-    l1, l2 = p.proper1.normalize(tol), p.proper2.normalize(tol)
+def _orthogonal_parallel_sign(proper1, proper2, tol):
+    l1, l2 = proper1.normalize(tol), proper2.normalize(tol)
     yield is_parallel(l1, l1, tol) and is_parallel(l1, -l1, tol)
     if is_parallel(l1, l2, tol):
         yield _near(l2, l1, tol) or _near(l2, -l1, tol)
 
 
-def _singular_parallel_family(p, tol):
-    scaled = _scale(p.sing1, p.lam)
-    yield is_singularly_parallel(p.sing1, scaled, tol)
-    yield classify(p.sing1, tol).is_singular and classify(scaled, tol).is_singular
-    yield not is_singularly_parallel(p.sing1, p.sing2, tol)
+def _singular_parallel_family(sing1, lam, sing2, tol):
+    scaled = _scale(sing1, lam)
+    yield is_singularly_parallel(sing1, scaled, tol)
+    yield classify(sing1, tol).is_singular and classify(scaled, tol).is_singular
+    yield not is_singularly_parallel(sing1, sing2, tol)
 
 
 _laws(
@@ -757,27 +765,30 @@ _laws(
     ("parallel-equivalence", _parallel_equivalence),
     (
         "perpendicular-irreflexive",
-        lambda p, tol: not is_perpendicular(p.nonsing1, p.nonsing1, tol),
+        lambda nonsing1, tol: not is_perpendicular(nonsing1, nonsing1, tol),
     ),
     (
         "perpendicular-symmetric",
-        lambda p, tol: is_perpendicular(p.perp1, p.perp2, tol)
-        and is_perpendicular(p.perp2, p.perp1, tol),
+        lambda perp1, perp2, tol: is_perpendicular(perp1, perp2, tol)
+        and is_perpendicular(perp2, perp1, tol),
     ),
-    ("perpendicular-transport", lambda p, tol: is_perpendicular(p.perp1, p.perp2 * p.mu, tol)),
+    (
+        "perpendicular-transport",
+        lambda perp1, perp2, mu, tol: is_perpendicular(perp1, perp2 * mu, tol),
+    ),
     ("self-perpendicular-iff-singular", _zero_iff_singular(lambda g: scalar_product(g, g), 2)),
     ("orthogonal-parallel-sign", _orthogonal_parallel_sign),
     (
         "conj-preserves-perpendicular",
-        lambda p, tol: is_perpendicular(p.perp1.conj(), p.perp2.conj(), tol),
+        lambda perp1, perp2, tol: is_perpendicular(perp1.conj(), perp2.conj(), tol),
     ),
-    ("conj-preserves-parallel", lambda p, tol: is_parallel(p.par1.conj(), p.par2.conj(), tol)),
-    ("vig-preserves-parallel", lambda p, tol: is_parallel(p.par1.vig(), p.par2.vig(), tol)),
-    ("parallel-implies-spatial", lambda p, tol: is_spatially_parallel(p.par1, p.par2, tol)),
+    ("conj-preserves-parallel", lambda par1, par2, tol: is_parallel(par1.conj(), par2.conj(), tol)),
+    ("vig-preserves-parallel", lambda par1, par2, tol: is_parallel(par1.vig(), par2.vig(), tol)),
+    ("parallel-implies-spatial", lambda par1, par2, tol: is_spatially_parallel(par1, par2, tol)),
     (
         "spatial-without-parallel",
-        lambda p, tol: is_spatially_parallel(p.sp_a, p.sp_b, tol)
-        and not is_parallel(p.sp_a, p.sp_b, tol),
+        lambda sp_a, sp_b, tol: is_spatially_parallel(sp_a, sp_b, tol)
+        and not is_parallel(sp_a, sp_b, tol),
     ),
     ("singular-parallel-family", _singular_parallel_family),
 )
@@ -789,21 +800,12 @@ _laws(
     "metric",
     (
         "polarization-identity",
-        lambda p, tol: (
-            (p.a + p.b).det(),
-            p.a.det() + 2.0 * scalar_product(p.a, p.b) + p.b.det(),
-        ),
+        lambda a, b, tol: ((a + b).det(), a.det() + 2.0 * scalar_product(a, b) + b.det()),
     ),
-    (
-        "pythagorean",
-        lambda p, tol: ((p.perp1 + p.perp2).det(), p.perp1.det() + p.perp2.det()),
-    ),
+    ("pythagorean", lambda perp1, perp2, tol: ((perp1 + perp2).det(), perp1.det() + perp2.det())),
     (
         "parallelogram-law",
-        lambda p, tol: (
-            (p.a + p.b).det() + (p.a - p.b).det(),
-            2.0 * p.a.det() + 2.0 * p.b.det(),
-        ),
+        lambda a, b, tol: ((a + b).det() + (a - b).det(), 2.0 * a.det() + 2.0 * b.det()),
     ),
 )
 
@@ -811,14 +813,14 @@ _laws(
 # -- angles --------------------------------------------------------------------
 
 
-def _angle_det_one(p, tol):
+def _angle_det_one(proper1, proper2, tol):
     for o in (RIGHT, LEFT):
-        yield angle(p.proper1, p.proper2, o, tol).value.det(), 1.0 + 0j
+        yield angle(proper1, proper2, o, tol).value.det(), 1.0 + 0j
 
 
-def _composition_rows(p, tol):
-    f1 = angle(p.proper1, p.proper2, LEFT, tol)
-    f2 = angle(p.proper2, p.proper1, LEFT, tol)
+def _composition_rows(proper1, proper2, tol):
+    f1 = angle(proper1, proper2, LEFT, tol)
+    f2 = angle(proper2, proper1, LEFT, tol)
     composed = compose_angles(f1, f2)
     yield composed.cosinis, f1.cosinis * f2.cosinis + vdot(f1.sinis, f2.sinis)
     cr = vcross(f1.sinis, f2.sinis)
@@ -828,63 +830,63 @@ def _composition_rows(p, tol):
     yield composed.sinis, sini
 
 
-def _doubling_rows(p, tol):
-    f = angle(p.proper1, p.proper2, LEFT, tol)
+def _doubling_rows(proper1, proper2, tol):
+    f = angle(proper1, proper2, LEFT, tol)
     doubled = compose_angles(f, f)
     yield doubled.cosinis, f.cosinis * f.cosinis + vdot(f.sinis, f.sinis)
     yield doubled.sinis, tuple(2.0 * f.cosinis * f.sinis[k] for k in range(3))
 
 
-def _explement_rows(p, tol):
-    f = angle(p.proper1, p.proper2, LEFT, tol)
+def _explement_rows(proper1, proper2, tol):
+    f = angle(proper1, proper2, LEFT, tol)
     e = explement(f)
     yield e.cosinis, f.cosinis
     yield e.sinis, tuple(-z for z in f.sinis)
     yield e.value.det(), 1.0 + 0j
 
 
-def _explement_swaps_arguments(p, tol):
+def _explement_swaps_arguments(proper1, proper2, tol):
     for o in (RIGHT, LEFT):
-        e = explement(angle(p.proper1, p.proper2, o, tol))
-        yield e.value, angle(p.proper2, p.proper1, o, tol).value
+        e = explement(angle(proper1, proper2, o, tol))
+        yield e.value, angle(proper2, proper1, o, tol).value
 
 
-def _trigonometric_character(p, tol):
-    a, b = (Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2])) for w in (p.w1, p.w2))
-    f = angle(a, b, RIGHT, tol)
+def _trigonometric_character(w1, w2, tol):
+    x, y = (Paravector(0j, (1j * w[0], 1j * w[1], 1j * w[2])) for w in (w1, w2))
+    f = angle(x, y, RIGHT, tol)
     bound = max(1.0, component_scale(f.value))
     yield (f.cosinis.imag, *(z.real for z in f.dextis)), (0.0,) * 4, bound
-    c, m = f.cosinis.real, tuple(z.imag for z in f.dextis)
-    yield c * c + m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 1.0
+    cos, m = f.cosinis.real, tuple(z.imag for z in f.dextis)
+    yield cos * cos + m[0] ** 2 + m[1] ** 2 + m[2] ** 2, 1.0
 
 
-def _hyperbolic_character(p, tol):
-    f = angle(p.hyp1, p.hyp2, RIGHT, tol)
+def _hyperbolic_character(hyp1, hyp2, tol):
+    f = angle(hyp1, hyp2, RIGHT, tol)
     bound = max(1.0, component_scale(f.value) ** 2)
     yield (f.cosinis.imag, *(z.imag for z in f.dextis)), (0.0,) * 4, bound
-    c, d = f.cosinis.real, tuple(z.real for z in f.dextis)
-    yield c * c - (d[0] ** 2 + d[1] ** 2 + d[2] ** 2), 1.0, bound
+    cosh, d = f.cosinis.real, tuple(z.real for z in f.dextis)
+    yield cosh * cosh - (d[0] ** 2 + d[1] ** 2 + d[2] ** 2), 1.0, bound
 
 
 _laws(
     "angle",
     ("angle-det-one", _angle_det_one),
-    ("angle-zero-self", lambda p, tol: (angle(p.proper1, p.proper1, RIGHT, tol).value, ONE)),
+    ("angle-zero-self", lambda proper1, tol: (angle(proper1, proper1, RIGHT, tol).value, ONE)),
     ("composition-rows", _composition_rows),
     ("doubling-rows", _doubling_rows),
     ("explement-rows", _explement_rows),
     ("explement-swaps-arguments", _explement_swaps_arguments),
     (
         "explement-involution",
-        lambda p, tol: (
-            explement(explement(f := angle(p.proper1, p.proper2, RIGHT, tol))).value,
+        lambda proper1, proper2, tol: (
+            explement(explement(f := angle(proper1, proper2, RIGHT, tol))).value,
             f.value,
         ),
     ),
     (
         "compose-identity",
-        lambda p, tol: (
-            compose_angles(f := angle(p.proper1, p.proper2, LEFT, tol), Angle.identity(LEFT)).value,
+        lambda proper1, proper2, tol: (
+            compose_angles(f := angle(proper1, proper2, LEFT, tol), Angle.identity(LEFT)).value,
             f.value,
         ),
     ),
@@ -896,23 +898,22 @@ _laws(
 # -- rotations -----------------------------------------------------------------
 
 
-def _preserves_det_and_scalar(p, tol):
+def _preserves_det_and_scalar(a, axis1, tol):
     for o in (LEFT, RIGHT):
-        g = rotate(p.a, p.axis1, o)
-        yield g.det(), p.a.det()
-        yield g.s, p.a.s
+        g = rotate(a, axis1, o)
+        yield g.det(), a.det()
+        yield g.s, a.s
 
 
-def _fixes_spatially_parallel(p, tol):
-    axis_v = p.axis1.value.v
-    g = Paravector(p.tau, tuple(z * p.mu for z in axis_v))
+def _fixes_spatially_parallel(axis1, tau, mu, tol):
+    g = Paravector(tau, tuple(z * mu for z in axis1.value.v))
     for o in (LEFT, RIGHT):
-        yield rotate(g, p.axis1, o), g
+        yield rotate(g, axis1, o), g
 
 
-def _parallel_axes_same_rotation(p, tol):
-    other = RotationAxis.from_paravector(p.proper1 * p.s_real, tol)
-    return rotate(p.a, p.axis1, LEFT), rotate(p.a, other, LEFT)
+def _parallel_axes_same_rotation(proper1, s_real, a, axis1, tol):
+    other = RotationAxis.from_paravector(proper1 * s_real, tol)
+    return rotate(a, axis1, LEFT), rotate(a, other, LEFT)
 
 
 def _rodrigues(w, n, theta):
@@ -926,22 +927,22 @@ def _rodrigues(w, n, theta):
     return tuple(w[k] * c + cross[k] * s + n[k] * dot * (1.0 - c) for k in range(3))
 
 
-def _vector_fixes_axis(p, tol):
-    w = (p.s_real * p.rot1.n[0], p.s_real * p.rot1.n[1], p.s_real * p.rot1.n[2])
-    return rotate_vector(w, p.rot1), w
+def _vector_fixes_axis(s_real, rot1, tol):
+    w = (s_real * rot1.n[0], s_real * rot1.n[1], s_real * rot1.n[2])
+    return rotate_vector(w, rot1), w
 
 
-def _angle_decomposition(p, tol):
-    lam = p.axis2.value
-    lhs = angle(p.proper1, rotate(p.proper1, p.axis2, LEFT), RIGHT, tol).value
-    return lhs, angle(p.proper1, lam, RIGHT, tol).value * angle(p.proper1, lam, LEFT, tol).value
+def _angle_decomposition(axis2, proper1, tol):
+    u = axis2.value
+    lhs = angle(proper1, rotate(proper1, axis2, LEFT), RIGHT, tol).value
+    return lhs, angle(proper1, u, RIGHT, tol).value * angle(proper1, u, LEFT, tol).value
 
 
-def _similarity_equivalence(p, tol):
-    there = similarity(p.a, p.nonsing1, tol)
-    yield similarity(there, p.nonsing1.inverse(tol), tol), p.a
-    two_step = similarity(similarity(p.a, p.nonsing1, tol), p.nonsing2, tol)
-    yield two_step, similarity(p.a, p.nonsing1 * p.nonsing2, tol)
+def _similarity_equivalence(a, nonsing1, nonsing2, tol):
+    there = similarity(a, nonsing1, tol)
+    yield similarity(there, nonsing1.inverse(tol), tol), a
+    two_step = similarity(similarity(a, nonsing1, tol), nonsing2, tol)
+    yield two_step, similarity(a, nonsing1 * nonsing2, tol)
 
 
 _laws(
@@ -950,27 +951,24 @@ _laws(
     ("fixes-spatially-parallel", _fixes_spatially_parallel),
     (
         "matches-similarity",
-        lambda p, tol: (rotate(p.a, p.axis1, LEFT), similarity(p.a, p.axis1.value, tol)),
+        lambda a, axis1, tol: (rotate(a, axis1, LEFT), similarity(a, axis1.value, tol)),
     ),
     ("parallel-axes-same-rotation", _parallel_axes_same_rotation),
     (
         "vector-matches-rodrigues",
-        lambda p, tol: (
-            rotate_vector(p.w1, p.rot1),
-            _rodrigues(p.w1, p.rot1.n, 2.0 * p.rot1.phi),
-        ),
+        lambda w1, rot1, tol: (rotate_vector(w1, rot1), _rodrigues(w1, rot1.n, 2.0 * rot1.phi)),
     ),
-    ("vector-isometry", lambda p, tol: (vnorm(rotate_vector(p.w1, p.rot1)), vnorm(p.w1))),
+    ("vector-isometry", lambda w1, rot1, tol: (vnorm(rotate_vector(w1, rot1)), vnorm(w1))),
     ("vector-fixes-axis", _vector_fixes_axis),
     (
         "euler-compose-sequential",
-        lambda p, tol: (
-            rotate_vector(rotate_vector(p.w1, p.rot1), p.rot2),
-            rotate_vector(p.w1, euler_compose(p.rot1, p.rot2, tol)),
+        lambda w1, rot1, rot2, tol: (
+            rotate_vector(rotate_vector(w1, rot1), rot2),
+            rotate_vector(w1, euler_compose(rot1, rot2, tol)),
         ),
     ),
     ("angle-decomposition", _angle_decomposition),
-    ("similarity-preserves-scalar", lambda p, tol: (similarity(p.a, p.nonsing1, tol).s, p.a.s)),
+    ("similarity-preserves-scalar", lambda a, nonsing1, tol: (similarity(a, nonsing1, tol).s, a.s)),
     ("similarity-equivalence", _similarity_equivalence),
 )
 
@@ -978,14 +976,13 @@ _laws(
 # -- mirror and axial symmetry ---------------------------------------------
 
 
-def _reflection(p):
-    """``{s | 2 (v.w) w / (w.w) - v}`` for ``p.a = {s|v}`` and ``w = p.w1``: the axial symmetry."""
-    w = p.w1
+def _reflection(a, w):
+    """``{s | 2 (v.w) w / (w.w) - v}`` for ``a = {s|v}``: the axial symmetry in ``w``."""
     nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
-    v = p.a.v
+    v = a.v
     vw = v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
     return Paravector(
-        p.a.s,
+        a.s,
         (
             2.0 * w[0] * vw / nw2 - v[0],
             2.0 * w[1] * vw / nw2 - v[1],
@@ -994,40 +991,38 @@ def _reflection(p):
     )
 
 
-def _axial_is_straight_rotation(p, tol):
-    w = p.w1
-    nw = vnorm(w)
-    axis = RotationAxis(Paravector(0j, (1j * w[0] / nw, 1j * w[1] / nw, 1j * w[2] / nw)))
-    return axial_symmetry(p.a, w, tol), rotate(p.a, axis, LEFT)
+def _axial_is_straight_rotation(w1, a, tol):
+    nw = vnorm(w1)
+    axis = RotationAxis(Paravector(0j, (1j * w1[0] / nw, 1j * w1[1] / nw, 1j * w1[2] / nw)))
+    return axial_symmetry(a, w1, tol), rotate(a, axis, LEFT)
 
 
 _laws(
     "mirror",
-    ("mirror-involution", lambda p, tol: (mirror(mirror(p.a, p.om1, tol), p.om1, tol), p.a)),
-    ("mirror-flips-scalar", lambda p, tol: (mirror(p.a, p.om1, tol).s, -p.a.s)),
-    # the oracle comes first in both formula rows, so each reads w1 before a
-    ("mirror-real-formula", lambda p, tol: (-_reflection(p), mirror(p.a, p.w1, tol))),
+    ("mirror-involution", lambda a, om1, tol: (mirror(mirror(a, om1, tol), om1, tol), a)),
+    ("mirror-flips-scalar", lambda a, om1, tol: (mirror(a, om1, tol).s, -a.s)),
+    ("mirror-real-formula", lambda w1, a, tol: (-_reflection(a, w1), mirror(a, w1, tol))),
     (
         "mirror-composition-is-rotation",
-        lambda p, tol: (
-            mirror(mirror(p.a, p.om1, tol), p.om2, tol),
-            rotate(p.a, compose_mirrors(p.om1, p.om2, tol), LEFT),
+        lambda a, om1, om2, tol: (
+            mirror(mirror(a, om1, tol), om2, tol),
+            rotate(a, compose_mirrors(om1, om2, tol), LEFT),
         ),
     ),
     (
         "axial-involution",
-        lambda p, tol: (axial_symmetry(axial_symmetry(p.a, p.om1, tol), p.om1, tol), p.a),
+        lambda a, om1, tol: (axial_symmetry(axial_symmetry(a, om1, tol), om1, tol), a),
     ),
-    ("axial-preserves-scalar", lambda p, tol: (axial_symmetry(p.a, p.om1, tol).s, p.a.s)),
+    ("axial-preserves-scalar", lambda a, om1, tol: (axial_symmetry(a, om1, tol).s, a.s)),
     ("axial-is-straight-rotation", _axial_is_straight_rotation),
     (
         "axial-fixes-parallel",
-        lambda p, tol: (
-            axial_symmetry(g := Paravector(p.tau, tuple(z * p.mu for z in p.om1)), p.om1, tol),
+        lambda tau, om1, mu, tol: (
+            axial_symmetry(g := Paravector(tau, tuple(z * mu for z in om1)), om1, tol),
             g,
         ),
     ),
-    ("axial-real-formula", lambda p, tol: (_reflection(p), axial_symmetry(p.a, p.w1, tol))),
+    ("axial-real-formula", lambda w1, a, tol: (_reflection(a, w1), axial_symmetry(a, w1, tol))),
 )
 
 
@@ -1041,14 +1036,14 @@ def _embedding_rows(label, embed):
         return getattr(matrices, embed)(g)
 
     return (
-        (f"{label}-multiplicative", lambda p, tol: (to(p.a * p.b), to(p.a) @ to(p.b))),
-        (f"{label}-additive", lambda p, tol: (to(p.a + p.b), to(p.a) + to(p.b))),
+        (f"{label}-multiplicative", lambda a, b, tol: (to(a * b), to(a) @ to(b))),
+        (f"{label}-additive", lambda a, b, tol: (to(a + b), to(a) + to(b))),
     )
 
 
-def _mat4_reversion_pattern(p, tol):
-    s = p.a.s
-    x, y, z = p.a.v
+def _mat4_reversion_pattern(a, tol):
+    s = a.s
+    x, y, z = a.v
     expected = matrices.Matrix4(
         (
             (s, -x, -y, -z),
@@ -1057,76 +1052,70 @@ def _mat4_reversion_pattern(p, tol):
             (-z, 1j * y, -1j * x, s),
         )
     )
-    return matrices.to_matrix4(p.a.rev()), expected
+    return matrices.to_matrix4(a.rev()), expected
 
 
 _laws(
     "matrix",
     *_embedding_rows("mat4", "to_matrix4"),
-    ("mat4-det-squares", lambda p, tol: ((d := p.a.det()) * d, matrices.to_matrix4(p.a).det())),
+    ("mat4-det-squares", lambda a, tol: ((d := a.det()) * d, matrices.to_matrix4(a).det())),
     (
         "mat4-hermitian-conjugation",
-        lambda p, tol: (
-            matrices.to_matrix4(p.a.conj()),
-            matrices.to_matrix4(p.a).conj_transpose(),
-        ),
+        lambda a, tol: (matrices.to_matrix4(a.conj()), matrices.to_matrix4(a).conj_transpose()),
     ),
     (
         "mat4-inverse",
-        lambda p, tol: (
-            matrices.to_matrix4(p.nonsing1.inverse(tol)),
-            matrices.to_matrix4(p.nonsing1).inverse(),
+        lambda nonsing1, tol: (
+            matrices.to_matrix4(nonsing1.inverse(tol)),
+            matrices.to_matrix4(nonsing1).inverse(),
         ),
     ),
     ("mat4-reversion-pattern", _mat4_reversion_pattern),
-    (
-        "mat4-roundtrip",
-        lambda p, tol: (matrices.from_matrix4(matrices.to_matrix4(p.a), tol), p.a),
-    ),
+    ("mat4-roundtrip", lambda a, tol: (matrices.from_matrix4(matrices.to_matrix4(a), tol), a)),
     ("mat4-singular-iff", _zero_iff_singular(lambda g: matrices.to_matrix4(g).det(), 4)),
     *_embedding_rows("pauli", "to_pauli"),
-    ("pauli-det", lambda p, tol: (matrices.to_pauli(p.a).det(), p.a.det())),
+    ("pauli-det", lambda a, tol: (matrices.to_pauli(a).det(), a.det())),
 )
 
 
 # -- orthogonal transformations ----------------------------------------------
 
 
-def _right_action_preserves_integrated(p, tol):
-    lam = p.axis2.value
-    yield integrated(p.a * lam, p.b * lam, RIGHT), integrated(p.a, p.b, RIGHT)
-    yield integrated(lam * p.a, lam * p.b, LEFT), integrated(p.a, p.b, LEFT)
+def _right_action_preserves_integrated(axis2, a, b, tol):
+    u = axis2.value
+    yield integrated(a * u, b * u, RIGHT), integrated(a, b, RIGHT)
+    yield integrated(u * a, u * b, LEFT), integrated(a, b, LEFT)
 
 
-def _right_action_star_scalar(p, tol):
-    lam = p.axis2.value
-    a2, b2 = p.a * lam, p.b * lam
+def _right_action_star_scalar(axis2, a, b, tol):
+    u = axis2.value
+    a2, b2 = a * u, b * u
     lhs = scalar_product(a2.conj() * a2, b2.conj() * b2)
-    return lhs, scalar_product(p.a.conj() * p.a, p.b.conj() * p.b)
+    return lhs, scalar_product(a.conj() * a, b.conj() * b)
 
 
-def _left_action_vig_scalar(p, tol):
-    lam = p.axis2.value
-    a2, b2 = lam * p.a, lam * p.b
+def _left_action_vig_scalar(axis2, a, b, tol):
+    u = axis2.value
+    a2, b2 = u * a, u * b
     lhs = scalar_product(a2.vig(), b2.vig())
-    return lhs, scalar_product(p.a.vig(), p.b.vig())
+    return lhs, scalar_product(a.vig(), b.vig())
 
 
-def _sphere_invariance(p, tol):
-    lam = p.axis1.value
-    quartic = component_scale(lam, p.sphere) ** 4
-    yield (lam * p.sphere).det(), 0.0, quartic
-    yield rotate(p.sphere, p.axis1, LEFT).det(), 0.0, quartic
+def _sphere_invariance(axis1, sphere, tol):
+    u = axis1.value
+    quartic = component_scale(u, sphere) ** 4
+    yield (u * sphere).det(), 0.0, quartic
+    yield rotate(sphere, axis1, LEFT).det(), 0.0, quartic
 
 
 # a determinant this far from one must be rejected by the detector
 _FAR_FROM_ONE = Tolerance(1e-3, 0.0)
 
 
-def _det_one_detector(p, tol):
-    yield is_orthogonal_transform(p.axis1.value, tol)
-    if not _near(p.nonsing1.det(), 1.0, _FAR_FROM_ONE):
-        yield not is_orthogonal_transform(p.nonsing1, tol)
+def _det_one_detector(axis1, nonsing1, tol):
+    yield is_orthogonal_transform(axis1.value, tol)
+    if not _near(nonsing1.det(), 1.0, _FAR_FROM_ONE):
+        yield not is_orthogonal_transform(nonsing1, tol)
 
 
 _laws(
@@ -1135,8 +1124,8 @@ _laws(
     *_variants(
         "vig-parallel-{}-action",
         _ACTIONS,
-        lambda act, p, tol: is_parallel(
-            act(lam := p.axis1.value, p.par1).vig(), act(lam, p.par2).vig(), tol
+        lambda act, axis1, par1, par2, tol: is_parallel(
+            act(u := axis1.value, par1).vig(), act(u, par2).vig(), tol
         ),
     ),
     ("right-action-star-scalar", _right_action_star_scalar),
@@ -1209,20 +1198,6 @@ def _mutated(name):
 # ---------------------------------------------------------------------------
 # Reports.
 # ---------------------------------------------------------------------------
-
-
-class _Recording:
-    """A pack view that records, in reading order, each family a check reads."""
-
-    def __init__(self, pack):
-        self._pack = pack
-        self.inputs = {}
-
-    def __getattr__(self, name):
-        value = getattr(self._pack, name)
-        if name not in self.inputs:
-            self.inputs[name] = to_wire(value)
-        return value
 
 
 class PropertyResult(_Value):
@@ -1306,7 +1281,7 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
             pack = make_pack(seed, i)
             for j, prop in enumerate(props):
                 try:
-                    ok = _holds(prop.law, pack, tol)
+                    ok = _holds(prop.law, prop.fetch(pack), tol)
                     error = None
                 except Exception as exc:
                     ok = False
@@ -1314,10 +1289,14 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                 if not ok:
                     fails[j] += 1
                     if counterexamples[j] is None:
-                        view = _Recording(pack)
-                        with suppress(Exception):
-                            _holds(prop.law, view, tol)
-                        ce = {"trial": i, "inputs": view.inputs}
+                        # a derived family that raised while it was built is not
+                        # in the pack's __dict__: it and the operands after it are left out
+                        built = vars(pack)
+                        inputs = {
+                            name: to_wire(built[name])
+                            for name in takewhile(built.__contains__, prop.operands)
+                        }
+                        ce = {"trial": i, "inputs": inputs}
                         if error is not None:
                             ce["error"] = error
                         counterexamples[j] = ce

@@ -181,10 +181,12 @@ def _plane(w, tol, message):
     ww = vdot(plane.v, plane.v)
     sc = _pv_scale(plane)
     try:
-        isotropic = abs(ww) <= tol.quadratic(sc)
+        size = abs(ww)
     except OverflowError:  # finite parts, but a modulus beyond the float range
-        raise ValidationError("w.w overflows: components too large") from None
-    if isotropic:
+        size = math.inf
+    if not size < math.inf:  # an infinite or NaN part, or that modulus
+        raise ValidationError("w.w overflows: components too large")
+    if size <= tol.quadratic(sc):
         raise IsotropicNormal(message)
     return plane, ww, sc
 

@@ -53,6 +53,8 @@ CASES = [
     ("vig", ["vig", G], None),
     ("det", ["det", P1], None),
     ("inv", ["inv", P2], None),
+    # a determinant whose reciprocal would leave the normal float range
+    ("inv-huge", ["inv", "[1.09868411346781e+154,4.5508986056222734e+153,0,0,0,0,0,0]"], None),
     ("module", ["module", PROPER1], None),
     ("normalize", ["normalize", PROPER1], None),
     ("classify", ["classify", SINGULAR], None),
@@ -100,6 +102,7 @@ CASES = [
     ("rotation-exit2", ["euler", "[1,2,3]", QUARTER], None),
     ("angle-exit1", ["angle", SINGULAR, PROPER1], None),
     ("compose-angle-exit1", ["compose-angle", PROPER1, UNIT1], None),
+    ("vector-exit1-overflow", ["mirror", "[1,0,0,0,0,0,0,0]", "[1e200,0,0]"], None),
     # argparse usage errors
     ("unknown-command", ["frobnicate", P1], None),
     ("missing-operand", ["det"], None),

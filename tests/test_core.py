@@ -6,11 +6,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from _strategies import paravectors, proper_paravectors, real_vectors
+from _strategies import nonsingular_paravectors, paravectors, proper_paravectors, real_vectors
 from paravec import (
     DEFAULT_TOL,
     ONE,
@@ -29,7 +29,7 @@ from paravec import (
     is_singularly_parallel,
     mul,
 )
-from paravec.wire import from_wire
+from paravec.wire import from_wire, to_wire
 
 E1 = Paravector(0, (1, 0, 0))
 E2 = Paravector(0, (0, 1, 0))
@@ -251,6 +251,24 @@ class TestInverse:
         inv = g.inverse()
         assert approx_eq(g * inv, ONE, Tolerance(1e-7, 1e-7))
         assert approx_eq(inv * g, ONE, Tolerance(1e-7, 1e-7))
+
+    def test_a_reciprocal_determinant_below_the_normal_range(self):
+        # d and its modulus are finite, but 1/d is subnormal and lost its digits
+        s = cmath.sqrt(1e308 + 1e308j)
+        g = Paravector(s, (0j, 0j, 0j))
+        inv = g.inverse()
+        assert cmath.isclose(inv.s, 1 / s, rel_tol=1e-15)
+        assert inv.v == (0j, 0j, 0j)
+        assert approx_eq(inv * g, ONE) and approx_eq(g * inv, ONE)
+
+    @given(nonsingular_paravectors(), st.floats(2.0**509, 2.0**511, exclude_min=True))
+    @example(from_wire([4.0, -4.0, 0.0, 0.0, 0.5, 4.0, -4.0, 0.5]), 2.0**511)  # zeros before
+    def test_inverse_at_scales_above_2_to_the_509(self, h, scale):
+        g = h * (scale / max(map(abs, to_wire(h))))
+        assume(cmath.isfinite(oracles.det_components(g)))
+        inv = g.inverse()
+        assert approx_eq(inv * g, ONE, Tolerance(1e-7, 1e-7))
+        assert approx_eq(g * inv, ONE, Tolerance(1e-7, 1e-7))
 
 
 class TestModule:

@@ -1,10 +1,10 @@
 """Determinism and plumbing of the property-fuzz engine."""
 
 import ast
-import contextlib
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,6 @@ from paravec.fuzz import (
     TrialPack,
     _holds,
     _mutated,
-    _Recording,
     make_pack,
     mix64,
     trial_seed,
@@ -26,19 +25,7 @@ from paravec.wire import to_wire
 
 FUZZ_SOURCE = Path(__file__).resolve().parent.parent / "src" / "paravec" / "fuzz.py"
 
-
-class _ReadLog:
-    """A pack view that lists, in order of first read, the families read."""
-
-    def __init__(self, pack):
-        self.pack = pack
-        self.names = []
-
-    def __getattr__(self, name):
-        value = getattr(self.pack, name)
-        if name not in self.names:
-            self.names.append(name)
-        return value
+DERIVED = {name for name, attr in vars(TrialPack).items() if isinstance(attr, cached_property)}
 
 
 def _refuse(*args, **kwargs):
@@ -83,19 +70,17 @@ class TestPackGeneration:
             assert isinstance(p.par2, Paravector)
 
     def test_the_pack_holds_exactly_what_the_checks_read(self):
-        read = set()
-        for i in range(30):
-            pack = make_pack(42, i)
-            for prop in _PROPS:
-                view = _Recording(pack)
-                with contextlib.suppress(Exception):
-                    _holds(prop.law, view, DEFAULT_TOL)
-                read |= view.inputs.keys()
-        families = TrialPack._FAMILIES
-        assert len(set(families)) == len(families)
-        assert read == set(families)
-        # the eagerly drawn families are all declared; the rest are built on read
-        assert {name for name in vars(make_pack(42, 0)) if not name.startswith("_")} <= read
+        # the plain attributes of a fresh pack, and the families built on first read
+        assert DERIVED == {"rot1", "rot2", "axis1", "axis2"}
+        pack = make_pack(42, 0)
+        plain = {name for name in vars(pack) if not name.startswith("_")}
+        assert not plain & DERIVED
+        taken = {name for prop in _PROPS for name in prop.operands}
+        assert taken == plain | DERIVED
+        for prop in _PROPS:
+            code = getattr(prop.law, "func", prop.law).__code__
+            assert code.co_varnames[code.co_argcount - 1] == "tol", prop.full_name
+            assert prop.fetch(pack) == tuple(getattr(pack, name) for name in prop.operands)
 
     def test_generation_calls_no_library_arithmetic(self, monkeypatch):
         # packs are built from raw components through _make and Paravector alone,
@@ -173,34 +158,29 @@ class TestRunFuzz:
         assert failing
         ce = failing[0].counterexample
         assert ce is not None and "trial" in ce and "inputs" in ce
-        laws = {prop.full_name: prop.law for prop in _PROPS}
+        props = {prop.full_name: prop for prop in _PROPS}
         for mutant in MUTANTS:
             report = run_fuzz(seed=42, trials=50, mutant=mutant)
             failing = [p for p in report.properties if p.fails]
             assert failing
             with _mutated(mutant):
                 for result in failing:
-                    ce = result.counterexample
-                    pack = _ReadLog(make_pack(42, ce["trial"]))
+                    ce, prop = result.counterexample, props[result.name]
+                    pack = make_pack(42, ce["trial"])
                     try:
-                        ok = _holds(laws[result.name], pack, DEFAULT_TOL)
+                        ok = _holds(prop.law, prop.fetch(pack), DEFAULT_TOL)
                     except Exception:
                         ok = False
                     assert not ok, result.name
-                    assert list(ce["inputs"]) == pack.names, result.name
+                    assert tuple(ce["inputs"]) == prop.operands, result.name
                     for name, value in ce["inputs"].items():
-                        assert value == to_wire(getattr(pack.pack, name))
+                        assert value == to_wire(getattr(pack, name))
             if mutant == "rev-sign":
-                # this check returns at its first is_parallel, before reading lam
+                # the law fails at its first is_parallel, and still lists every operand
                 by_name = {p.name: p for p in report.properties}
                 ce = by_name["parallel/parallel-iff-scalar-multiple"].counterexample
-                assert list(ce["inputs"]) == ["par2", "par1"]
+                assert list(ce["inputs"]) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
         assert all(p.counterexample is None for p in run_fuzz(seed=42, trials=50).properties)
-        # a check that runs to the end lists every family it reads, lam included
-        view = _Recording(make_pack(42, 0))
-        assert _holds(laws["parallel/parallel-iff-scalar-multiple"], view, DEFAULT_TOL)
-        assert list(view.inputs) == ["par2", "par1", "lam", "nonsing1", "nonsing2"]
-        assert view.inputs["lam"] == to_wire(view.lam)
 
 
 def _det_one_of_minus_one(d, proper, thr):
@@ -225,7 +205,16 @@ def test_a_library_defect_in_a_derived_family_is_reported(monkeypatch, capsys, o
     monkeypatch.setattr(owner, name, defect)
     failing = [r for r in run_fuzz(42, 2).properties if r.fails]
     assert failing
-    assert all("error" in r.counterexample for r in failing)
+    operands = {prop.full_name: prop.operands for prop in _PROPS}
+    cut = set()
+    for r in failing:
+        assert "error" in r.counterexample
+        # the inputs are the operands up to a derived family that raised while built
+        inputs = tuple(r.counterexample["inputs"])
+        assert inputs == operands[r.name][: len(inputs)], r.name
+        if len(inputs) < len(operands[r.name]):
+            cut.add(operands[r.name][len(inputs)])
+    assert cut and cut <= DERIVED
     assert cli.main(["fuzz", "--seed", "42", "--trials", "2"]) == 3
     assert "FAIL" in capsys.readouterr().out
 
@@ -266,6 +255,40 @@ def test_laws_weigh_no_threshold_of_their_own():
             ):
                 offences.append((node.lineno, "abs(...) compared"))
     assert offences == []
+
+
+def _unread_parameters(statements):
+    """``(line, name)`` of each parameter before ``tol`` that its function never reads."""
+    unread = []
+    for stmt in statements:
+        for node in ast.walk(stmt):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            params = [arg.arg for arg in node.args.args]
+            if "tol" in params:
+                params = params[: params.index("tol")]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id
+                for part in body
+                for name in ast.walk(part)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread += [(node.lineno, param) for param in params if param not in read]
+    return unread
+
+
+def test_every_operand_is_read():
+    # a law's operands are its counterexample inputs, so an operand the law
+    # ignores would name a family the failure does not depend on
+    assert _unread_parameters(_registry_region()) == []
+
+
+def test_an_unread_operand_is_caught():
+    planted = ast.parse(
+        "rows = [('x', lambda a, b, tol: (a, a))]\ndef law(c, tol):\n    yield tol\n"
+    )
+    assert _unread_parameters(planted.body) == [(1, "b"), (2, "c")]
 
 
 def test_import_paravec_loads_the_fuzz_engine_on_first_use():

@@ -1,12 +1,12 @@
 """Pin the verdicts of a fixed fuzz campaign against a committed fixture.
 
 ``tests/data/fuzz_seed42_300.json`` holds, for ``run_fuzz(42, 300)`` with no
-mutant and with each documented mutant, every property's passes, fails and
-first-failure trial.  Counterexample input values are left out because their
-low bits depend on the platform's libm.  A performance change that alters a
-single verdict fails here.
+mutant and with each documented mutant, every property's passes, fails,
+first-failure trial and the names of its counterexample inputs.  The input
+values are left out because their low bits depend on the platform's libm; the
+names do not.  A performance change that alters a single verdict fails here.
 
-Regenerate (only when a verdict change is intended) with::
+Regenerate (only when a change of verdicts or input names is intended) with::
 
     PYTHONPATH=src python tests/test_fuzz_fixture.py
 """
@@ -24,14 +24,12 @@ RUNS = (None, *sorted(MUTANTS))
 
 
 def verdicts(mutant):
-    """Map each property name to ``[passes, fails, first_failure_trial]``."""
+    """Map each property name to ``[passes, fails, first_failure_trial, input_names]``."""
     report = run_fuzz(SEED, TRIALS, mutant=mutant)
     return {
-        r.name: [
-            r.passes,
-            r.fails,
-            None if r.counterexample is None else r.counterexample["trial"],
-        ]
+        r.name: [r.passes, r.fails, None, None]
+        if r.counterexample is None
+        else [r.passes, r.fails, r.counterexample["trial"], list(r.counterexample["inputs"])]
         for r in report.properties
     }
 
@@ -64,7 +62,7 @@ def _write_fixture():
         "{",
         f' "seed": {SEED},',
         f' "trials": {TRIALS},',
-        ' "fields": ["passes", "fails", "first_failure_trial"],',
+        ' "fields": ["passes", "fails", "first_failure_trial", "input_names"],',
         ' "runs": {',
     ]
     for i, mutant in enumerate(RUNS):

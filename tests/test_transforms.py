@@ -30,6 +30,7 @@ from paravec import (
     SingularParavector,
     SpatialRotation,
     Tolerance,
+    ValidationError,
     approx_eq,
     axial_symmetry,
     compose_mirrors,
@@ -255,6 +256,22 @@ class TestMirror:
     def test_isotropic_normal_raises(self):
         with pytest.raises(IsotropicNormal):
             mirror(ONE, (1, 1j, 0))
+
+    @pytest.mark.parametrize("w", [(1e200, 0, 0), (1e200, 1e200j, 0), (1.2e154 + 0.6e154j, 0, 0)])
+    @pytest.mark.parametrize(
+        "reflect",
+        [
+            lambda w: mirror(ONE, w),
+            lambda w: axial_symmetry(ONE, w),
+            lambda w: compose_mirrors(w, (0, 1, 0)),
+        ],
+        ids=["mirror", "axial", "compose"],
+    )
+    def test_a_normal_whose_square_overflows_is_not_isotropic(self, reflect, w):
+        # w.w is infinite, NaN, or finite with a modulus past the float range
+        with pytest.raises(ValidationError, match="w.w overflows") as raised:
+            reflect(w)
+        assert not isinstance(raised.value, IsotropicNormal)
 
     @given(paravectors(), real_vectors(min_norm=0.3))
     def test_matches_the_projection_formula(self, g, w):

@@ -124,7 +124,7 @@ def test_pickle_and_deepcopy_round_trip_without_validation(build, text, fields, 
 
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_fuzz_properties_unpickle_to_the_registered_one(protocol):
-    # a property's check wraps a law, often a lambda; it pickles by its name
+    # a property's law is often a lambda, so the property pickles by its name
     assert len({prop.full_name for prop in _PROPS}) == len(_PROPS)
     for prop in _PROPS:
         assert pickle.loads(pickle.dumps(prop, protocol)) is prop

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from _strategies import components
 from paravec import ONE, ArityError, Paravector, ParseError, RotationAxis, SpatialRotation
 from paravec.cli import _COMMANDS, main
-from paravec.fuzz import MUTANTS, TrialPack, make_pack
+from paravec.fuzz import _PROPS, MUTANTS, make_pack
 from paravec.wire import (
     _parse_rotation,
     _parse_vector,
@@ -89,12 +89,13 @@ class TestWire:
         assert load_number_array("[3,1,2]") == [3.0, 1.0, 2.0]
 
     def test_fuzz_inputs_replay_through_the_pv_parsers(self):
-        # the wire form of every pack family that is a pv operand parses back
-        # to it: bit-exact, except that SpatialRotation.about renormalizes n
+        # the wire form of every family a law takes that is a pv operand parses
+        # back to it: bit-exact, except that SpatialRotation.about renormalizes n
+        families = dict.fromkeys(name for prop in _PROPS for name in prop.operands)
         without_operand = set()
         for i in range(50):
             pack = make_pack(42, i)
-            for name in TrialPack._FAMILIES:
+            for name in families:
                 value = getattr(pack, name)
                 text = json.dumps(to_wire(value))
                 if isinstance(value, (Paravector, RotationAxis)):
