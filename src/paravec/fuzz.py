@@ -13,16 +13,18 @@ Randomness comes from SplitMix64, a published 64-bit generator:
 the state advances by the odd constant 0x9E3779B97F4A7C15 and each
 output is the finalizer ``z ^= z>>30, z*=0xBF58476D1CE4E5B9, z ^= z>>27,
 z *= 0x94D049BB133111EB, z ^= z>>31`` applied to the state.  Trial i of a
-campaign with seed s uses a fresh generator seeded with
-``mix(mix(s) + GAMMA*(i+1))`` where ``mix`` is that same finalizer, so
-trials are independent streams and a report is a pure function of
-(seed, trials, tolerance).  Components are drawn uniformly from [-2, 2];
-with 10% probability a trial swaps in a structured corner case (zero,
-identity, a singular pair, special/unitar forms, scaled copies, extreme
-and tiny components).  Generation calls no library arithmetic.  The
-rotations and axes are built by the library when a law first takes them,
-so a defect that raises there fails, with its error, only the properties
-that take them.
+campaign with seed s has the trial seed ``t = mix(mix(s) + GAMMA*(i+1))``,
+where ``mix`` is that same finalizer.  The operand families come from a table
+with one row per draw, such as ``"a b c"`` or ``"perp1 perp2"``; the first read
+of a family runs its row with the row's own generator, seeded with
+``mix(t ^ crc32(names))`` (Steele, Lea and Flood, OOPSLA 2014).  So a run
+draws only the rows its laws read, the order of the reads changes no value,
+and a report is a pure function of (seed, trials, tolerance).  Components
+are drawn uniformly from [-2, 2]; with 10% probability the triple ``a, b, c``
+is a structured corner case (zero, identity, a singular pair, special/unitar
+forms, scaled copies, extreme and tiny components).  Generation calls no
+library arithmetic, except that the library builds the rotations and axes;
+a defect that raises there fails, with its error, only the laws taking them.
 
 Laws and judgement
 ------------------
@@ -47,8 +49,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import zlib
 from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import partial
 from itertools import takewhile
 from operator import attrgetter, methodcaller, sub
 
@@ -141,11 +144,10 @@ def trial_seed(seed, index):
 
 
 # ---------------------------------------------------------------------------
-# Trial generation.  Everything here computes with its own raw-component
-# expressions (``_norm``, ``_dot``, ``_sprod``, ``_times``), each in the
-# evaluation order of the library call it replaces, and builds values only
-# through ``Paravector`` and the trusted ``_make``: generation calls no library
-# arithmetic, so a library defect can neither skew nor crash the operand stream.
+# Trial generation.  Draws compute with their own raw-component expressions
+# (``_norm``, ``_dot``, ``_sprod``, ``_times``), each in the evaluation order of
+# the library call it replaces, and build values only through ``Paravector``
+# and the trusted ``_make``, so a library defect cannot skew the draws.
 # ---------------------------------------------------------------------------
 
 
@@ -161,10 +163,8 @@ def _rev(p):
 
 
 def _draw_pv(rng):
-    a, d = rng.uniform(-2, 2), rng.uniform(-2, 2)
-    b = [rng.uniform(-2, 2) for _ in range(3)]
-    c = [rng.uniform(-2, 2) for _ in range(3)]
-    return _parts(a, d, b, c)
+    x = [rng.uniform(-2, 2) for _ in range(8)]
+    return _parts(x[0], x[1], x[2:5], x[5:])
 
 
 def _draw_complex(rng, min_abs=0.0):
@@ -211,8 +211,7 @@ def _nonsingular(rng):
 
 def _proper(rng):
     p = _nonsingular(rng)
-    d = _sprod(p, p)
-    return _times(p, cmath.exp(-0.5j * cmath.phase(d)))
+    return _times(p, cmath.exp(-0.5j * cmath.phase(_sprod(p, p))))
 
 
 def _singular(rng):
@@ -263,8 +262,7 @@ def _special(rng):
 
 
 def _unitar(rng):
-    t = rng.uniform(0.0, math.pi)
-    n = _unit_vector(rng)
+    t, n = rng.uniform(0.0, math.pi), _unit_vector(rng)
     s = math.sin(t)
     return _make(complex(math.cos(t)), (1j * n[0] * s, 1j * n[1] * s, 1j * n[2] * s))
 
@@ -274,16 +272,12 @@ def _real_paravector(rng):
 
 
 def _hyperbolic_pair(rng):
-    """Two real proper paravectors with collinear vector parts.
-
-    Their integrated product is fully real, so the angle between them is
-    of the hyperbolic kind.
-    """
+    """Two real proper paravectors with collinear vector parts; their integrated
+    product is fully real, so the angle between them is hyperbolic."""
     n = _unit_vector(rng)
     pair = []
     for _ in range(2):
-        u = rng.uniform(0.3, 1.5)
-        t = rng.uniform(0.5, 1.5)
+        u, t = rng.uniform(0.3, 1.5), rng.uniform(0.5, 1.5)
         sign = 1.0 if rng.u01() < 0.5 else -1.0
         pair.append(_parts(sign * u * math.cosh(t), 0.0, [u * x for x in n], (0.0,) * 3))
     return pair[0], pair[1]
@@ -297,22 +291,20 @@ def _sphere_point(rng):
 def _spatial_pair(rng):
     """Spatially parallel but deliberately non-parallel non-singular pair."""
     while True:
-        s1 = _draw_complex(rng)
-        s2 = _draw_complex(rng)
+        s1, s2 = _draw_complex(rng), _draw_complex(rng)
         mu = _draw_complex(rng, 0.3)
         q = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
         a = _make(s1, q)
         b = _make(s2, (q[0] * mu, q[1] * mu, q[2] * mu))
         qn = _norm(q)
-        if (
-            abs(_sprod(a, a)) > 0.1
-            and abs(_sprod(b, b)) > 0.1
-            and abs(s2 - mu * s1) * qn > 0.1
-        ):
+        if abs(_sprod(a, a)) > 0.1 and abs(_sprod(b, b)) > 0.1 and abs(s2 - mu * s1) * qn > 0.1:
             return a, b
 
 
-def _corner_triple(rng):
+def _triple(p, rng):
+    """``a, b, c``: one time in ten a structured corner case, else three draws."""
+    if rng.u01() >= 0.10:
+        return _draw_pv(rng), _draw_pv(rng), _draw_pv(rng)
     pick = rng.below(10)
     g = _draw_pv(rng)
     if pick == 0:
@@ -327,8 +319,7 @@ def _corner_triple(rng):
         u = _unitar(rng)
         return u, _rev(u), g
     if pick == 5:
-        lam = _draw_real(rng, 0.2)
-        return g, _times(g, lam), g
+        return g, _times(g, _draw_real(rng, 0.2)), g
     if pick == 6:
         return g, _rev(g), _make(g.s.conjugate(), tuple(z.conjugate() for z in g.v))
     if pick == 7:
@@ -340,57 +331,75 @@ def _corner_triple(rng):
     return s, _rev(s), g
 
 
-class TrialPack:
-    """The operand families the laws take, drawn in a fixed order.
+def _rotation(p, rng):
+    return SpatialRotation(_unit_vector(rng), rng.uniform(0.0, math.pi))
 
-    ``rot1``, ``rot2``, ``axis1`` and ``axis2`` are built from their draws on
-    first read, so an error raised building one is raised for each law
-    that takes it, and ``run_fuzz`` reports it as that property's failure.
+
+# One row per draw: the families it builds, and ``draw(pack, rng)`` of their
+# values.  A draw that takes other families reads them from the pack.
+_ROWS = (
+    ("a b c", _triple),
+    ("lam", lambda p, rng: _draw_complex(rng, 0.3)),
+    ("mu", lambda p, rng: _draw_complex(rng, 0.3)),
+    ("s_real", lambda p, rng: _draw_real(rng, 0.3)),
+    ("tau", lambda p, rng: _draw_complex(rng)),
+    ("nonsing1", lambda p, rng: _nonsingular(rng)),
+    ("nonsing2", lambda p, rng: _nonsingular(rng)),
+    ("proper1", lambda p, rng: _proper(rng)),
+    ("proper2", lambda p, rng: _proper(rng)),
+    ("perp1 perp2", lambda p, rng: _perp_pair(rng)),
+    ("par1", lambda p, rng: _nonsingular(rng)),
+    ("par2", lambda p, rng: _times(p.par1, p.lam)),
+    ("sing1", lambda p, rng: _singular(rng)),
+    ("sing2", lambda p, rng: _singular(rng)),
+    ("sphere", lambda p, rng: _sphere_point(rng)),
+    ("special1", lambda p, rng: _special(rng)),
+    ("special2", lambda p, rng: _special(rng)),
+    ("realpv1", lambda p, rng: _real_paravector(rng)),
+    ("realpv2", lambda p, rng: _real_paravector(rng)),
+    ("hyp1 hyp2", lambda p, rng: _hyperbolic_pair(rng)),
+    ("sp_a sp_b", lambda p, rng: _spatial_pair(rng)),
+    ("rot1", _rotation),
+    ("rot2", _rotation),
+    ("axis1", lambda p, rng: RotationAxis.from_paravector(p.proper1)),
+    ("axis2", lambda p, rng: RotationAxis.from_paravector(p.proper2)),
+    ("w1", lambda p, rng: _real_vector(rng)),
+    ("w2", lambda p, rng: _real_vector(rng)),
+    ("om1", lambda p, rng: _complex_normal(rng)),
+    ("om2", lambda p, rng: _complex_normal(rng)),
+)
+
+# each family's row: its names, its id (the CRC-32 of its names) and its draw
+_ROW_OF = {
+    name: (names.split(), zlib.crc32(names.encode()), draw)
+    for names, draw in _ROWS for name in names.split()
+}
+
+
+class TrialPack:
+    """The operand families of one trial; the first read of a family runs its row.
+
+    The row draws from its own generator, seeded with the trial seed and the row's
+    id, and stores its families as attributes.  A row that raises stores nothing.
     """
 
-    def __init__(self, rng):
-        if rng.u01() < 0.10:
-            self.a, self.b, self.c = _corner_triple(rng)
-        else:
-            self.a, self.b, self.c = _draw_pv(rng), _draw_pv(rng), _draw_pv(rng)
-        self.lam = _draw_complex(rng, 0.3)
-        self.mu = _draw_complex(rng, 0.3)
-        self.s_real = _draw_real(rng, 0.3)
-        self.tau = _draw_complex(rng)
-        self.nonsing1 = _nonsingular(rng)
-        self.nonsing2 = _nonsingular(rng)
-        self.proper1 = _proper(rng)
-        self.proper2 = _proper(rng)
-        self.perp1, self.perp2 = _perp_pair(rng)
-        self.par1 = _nonsingular(rng)
-        self.par2 = _times(self.par1, self.lam)
-        self.sing1 = _singular(rng)
-        self.sing2 = _singular(rng)
-        self.sphere = _sphere_point(rng)
-        self.special1 = _special(rng)
-        self.special2 = _special(rng)
-        _unitar(rng)  # drawn to keep the stream; no law reads a unitar yet
-        self.realpv1 = _real_paravector(rng)
-        self.realpv2 = _real_paravector(rng)
-        self.hyp1, self.hyp2 = _hyperbolic_pair(rng)
-        self.sp_a, self.sp_b = _spatial_pair(rng)
-        n1, n2 = _unit_vector(rng), _unit_vector(rng)
-        phi1, phi2 = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
-        self._draws = (n1, phi1), (n2, phi2)
-        self.w1 = _real_vector(rng)
-        self.w2 = _real_vector(rng)
-        self.om1 = _complex_normal(rng)
-        self.om2 = _complex_normal(rng)
+    __slots__ = ("_seed", "__dict__")
 
-    rot1 = cached_property(lambda self: SpatialRotation(*self._draws[0]))
-    rot2 = cached_property(lambda self: SpatialRotation(*self._draws[1]))
-    axis1 = cached_property(lambda self: RotationAxis.from_paravector(self.proper1))
-    axis2 = cached_property(lambda self: RotationAxis.from_paravector(self.proper2))
+    def __init__(self, seed):
+        self._seed = seed
+
+    def __getattr__(self, name):
+        if name not in _ROW_OF:
+            raise AttributeError(f"{type(self).__name__} has no family {name!r}")
+        names, row_id, draw = _ROW_OF[name]
+        values = draw(self, SplitMix64(mix64(self._seed ^ row_id)))
+        self.__dict__.update(zip(names, values) if len(names) > 1 else ((name, values),))
+        return self.__dict__[name]
 
 
 def make_pack(seed, index):
-    """The deterministic operand pack of one trial."""
-    return TrialPack(SplitMix64(trial_seed(seed, index)))
+    """The operand pack of one trial; its families are drawn as they are read."""
+    return TrialPack(trial_seed(seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -981,14 +990,7 @@ def _reflection(a, w):
     nw2 = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
     v = a.v
     vw = v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
-    return Paravector(
-        a.s,
-        (
-            2.0 * w[0] * vw / nw2 - v[0],
-            2.0 * w[1] * vw / nw2 - v[1],
-            2.0 * w[2] * vw / nw2 - v[2],
-        ),
-    )
+    return Paravector(a.s, tuple(2.0 * w[k] * vw / nw2 - v[k] for k in range(3)))
 
 
 def _axial_is_straight_rotation(w1, a, tol):
@@ -1158,17 +1160,9 @@ def _rev_sign_error(self):
     return Paravector(-self.s, (-v[0], -v[1], -v[2]))
 
 
-def _to_matrix4_transposed(g):
-    s = g.s
-    x, y, z = g.v
-    return matrices.Matrix4(
-        (
-            (s, x, y, z),
-            (x, s, 1j * z, -1j * y),
-            (y, -1j * z, s, 1j * x),
-            (z, 1j * y, -1j * x, s),
-        )
-    )
+def _to_matrix4_transposed(g, embed=matrices.to_matrix4):
+    # ``embed`` is the true embedding, bound before the mutant replaces it
+    return matrices.Matrix4(tuple(zip(*embed(g).rows)))
 
 
 # one (owner, attribute, replacement) slot each, in the 1-tuple bench/run.py iterates
@@ -1221,9 +1215,7 @@ class FuzzReport(_Value):
 
     def suite_failures(self, suites):
         wanted = set(suites)
-        return sum(
-            r.fails for r in self.properties if r.name.split("/", 1)[0] in wanted
-        )
+        return sum(r.fails for r in self.properties if r.name.split("/", 1)[0] in wanted)
 
     def to_dict(self):
         return {
@@ -1263,17 +1255,25 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
     report is a pure function of the arguments.  ``seed`` must lie in
     [0, 2**64), the generator's state space.
     """
+    for name, value in (("seed", seed), ("trials", trials)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if not isinstance(tol, Tolerance):
+        raise TypeError(f"tol must be a Tolerance, not {type(tol).__name__}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not 0 <= seed <= _MASK:  # the generator would alias it modulo 2**64
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    props = _PROPS
     if suites is not None:
-        unknown = set(suites) - set(SUITES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-        props = [p for p in _PROPS if p.suite in set(suites)]
-    else:
-        props = list(_PROPS)
+        if isinstance(suites, str):
+            raise TypeError("suites must be a collection of suite names, not a str")
+        wanted = set(suites)
+        if not wanted:
+            raise ValueError("suites must name at least one suite")
+        if wanted - set(SUITES):
+            raise ValueError(f"unknown suites: {sorted(wanted - set(SUITES))}")
+        props = [p for p in _PROPS if p.suite in wanted]
     fails = [0] * len(props)
     counterexamples = [None] * len(props)
     with _mutated(mutant):
@@ -1289,8 +1289,8 @@ def run_fuzz(seed=42, trials=10000, tol=DEFAULT_TOL, mutant=None, suites=None):
                 if not ok:
                     fails[j] += 1
                     if counterexamples[j] is None:
-                        # a derived family that raised while it was built is not
-                        # in the pack's __dict__: it and the operands after it are left out
+                        # a family whose row raised is not in the pack's __dict__:
+                        # it and the operands after it are left out
                         built = vars(pack)
                         inputs = {
                             name: to_wire(built[name])

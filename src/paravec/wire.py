@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-from .core import Paravector, _as_cvector, _as_real, _make
+from .core import Paravector, _as_complex, _as_cvector, _as_real, _make
 from .errors import ArityError, ParseError
 from .transforms import RotationAxis, SpatialRotation
 
@@ -81,7 +81,8 @@ def to_wire(x):
     """Wire form of a ``pv`` value: the eight components of a paravector or
     ``RotationAxis``, ``[re, im]`` of a complex number, the real then the
     imaginary parts of a 3-vector, ``[nx, ny, nz, phi]`` of a
-    ``SpatialRotation``, and a real number as a float."""
+    ``SpatialRotation``, and a real number as a float.  Every number must be
+    finite: a wire array has no other kind."""
     if isinstance(x, Paravector):
         s, (u, v, w) = x.s, x.v
         return [s.real, s.imag, u.real, v.real, w.real, u.imag, v.imag, w.imag]
@@ -90,9 +91,10 @@ def to_wire(x):
     if isinstance(x, SpatialRotation):
         return [*x.n, x.phi]
     if isinstance(x, complex):
-        return [x.real, x.imag]
+        z = _as_complex(x, "wire values")
+        return [z.real, z.imag]
     if isinstance(x, (int, float)):
-        return float(x)
+        return _as_real(x, "wire values")
     u, v, w = _as_cvector(x)
     return [u.real, v.real, w.real, u.imag, v.imag, w.imag]
 

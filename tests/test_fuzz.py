@@ -4,7 +4,6 @@ import ast
 import os
 import subprocess
 import sys
-from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -12,8 +11,8 @@ import pytest
 from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, cli, core, fuzz, run_fuzz
 from paravec.fuzz import (
     _PROPS,
+    _ROW_OF,
     MUTANTS,
-    TrialPack,
     _holds,
     _mutated,
     make_pack,
@@ -25,7 +24,8 @@ from paravec.wire import to_wire
 
 FUZZ_SOURCE = Path(__file__).resolve().parent.parent / "src" / "paravec" / "fuzz.py"
 
-DERIVED = {name for name, attr in vars(TrialPack).items() if isinstance(attr, cached_property)}
+# the families whose rows call the library to build them
+LIBRARY_BUILT = {"rot1", "rot2", "axis1", "axis2"}
 
 
 def _refuse(*args, **kwargs):
@@ -70,13 +70,12 @@ class TestPackGeneration:
             assert isinstance(p.par2, Paravector)
 
     def test_the_pack_holds_exactly_what_the_checks_read(self):
-        # the plain attributes of a fresh pack, and the families built on first read
-        assert DERIVED == {"rot1", "rot2", "axis1", "axis2"}
-        pack = make_pack(42, 0)
-        plain = {name for name in vars(pack) if not name.startswith("_")}
-        assert not plain & DERIVED
+        # the table declares exactly the families some law takes, and a fresh
+        # pack holds none of them until one is read
         taken = {name for prop in _PROPS for name in prop.operands}
-        assert taken == plain | DERIVED
+        assert set(_ROW_OF) == taken
+        pack = make_pack(42, 0)
+        assert vars(pack) == {}
         for prop in _PROPS:
             code = getattr(prop.law, "func", prop.law).__code__
             assert code.co_varnames[code.co_argcount - 1] == "tol", prop.full_name
@@ -85,19 +84,77 @@ class TestPackGeneration:
     def test_generation_calls_no_library_arithmetic(self, monkeypatch):
         # packs are built from raw components through _make and Paravector alone,
         # so a defect in library arithmetic can neither skew nor crash the stream
-        want = [repr(vars(make_pack(42, i))) for i in range(200)]
+        drawn = [name for name in _ROW_OF if name not in LIBRARY_BUILT]
+
+        def packs():
+            return [repr([getattr(make_pack(42, i), name) for name in drawn]) for i in range(200)]
+
+        want = packs()
         for name in ("scalar_product", "vdot", "component_scale", "_scale"):
             monkeypatch.setattr(fuzz, name, _refuse)
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "rev", "conj"):
             monkeypatch.setattr(Paravector, name, _refuse)
-        assert [repr(vars(make_pack(42, i))) for i in range(200)] == want
+        assert packs() == want
 
     def test_corner_cases_do_appear(self):
         from paravec import ZERO
 
         seen_zero = any(make_pack(1, i).a == ZERO for i in range(300))
         assert seen_zero
+
+    def test_families_do_not_depend_on_the_order_of_reads(self):
+        names = list(_ROW_OF)
+        for i in range(30):
+            forward, backward = make_pack(9, i), make_pack(9, i)
+            want = [repr(getattr(forward, name)) for name in names]
+            got = [repr(getattr(backward, name)) for name in reversed(names)]
+            assert got[::-1] == want, i
+
+    def test_a_read_builds_its_row_once_and_stores_plain_attributes(self):
+        pack = make_pack(3, 1)
+        perp1 = pack.perp1
+        assert vars(pack) == {"perp1": perp1, "perp2": pack.perp2}
+        assert pack.perp1 is perp1
+        par2 = pack.par2  # reads the families it is built from
+        assert vars(pack)["par1"] is pack.par1 and vars(pack)["lam"] is pack.lam
+        assert par2 == Paravector(pack.par1.s * pack.lam, tuple(z * pack.lam for z in pack.par1.v))
+        with pytest.raises(AttributeError, match="no family 'unitar'"):
+            pack.unitar
+
+    def test_a_run_opens_one_generator_per_row_its_laws_read(self, monkeypatch):
+        opened = []
+
+        class Counting(SplitMix64):
+            def __init__(self, seed):
+                opened.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(fuzz, "SplitMix64", Counting)
+        # ring reads the row "a b c"; metric reads it and "perp1 perp2"
+        for suite, rows in (("ring", 1), ("metric", 2)):
+            opened.clear()
+            run_fuzz(4, 25, suites=[suite])
+            assert len(opened) == 25 * rows, suite
+
+    def test_the_streams_are_pinned_by_portable_literals(self):
+        # built from SplitMix64 integer steps and correctly rounded arithmetic
+        # alone, so these reprs are the same on every platform; trial 0 of
+        # seed 0 draws no corner case
+        pack = make_pack(0, 0)
+        assert repr(pack.lam) == "(-0.22700905869154386+1.0590485675383912j)"
+        assert repr(pack.w1) == "(1.7396253575824714, 0.776038911216633, -0.7651420716563724)"
+        assert repr(pack.om1) == (
+            "((0.6970536751744278+0.7486330655622697j), "
+            "(1.2145700360295684+1.1228857208398222j), "
+            "(0.04543761989168482+1.5972212403251302j))"
+        )
+        assert repr(pack.a) == (
+            "Paravector(s=(0.4371722161235265-0.31513902998516397j), "
+            "v=((-1.4123943750226449+0.17731424770319526j), "
+            "(0.8824511587152832-1.8546681737731836j), "
+            "(1.1148451873927105-0.9120420485381575j)))"
+        )
 
 
 class TestRunFuzz:
@@ -121,6 +178,30 @@ class TestRunFuzz:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_fuzz(seed=5, trials=0)
+
+    @pytest.mark.parametrize(
+        "argument, value, error",
+        [
+            ("seed", True, TypeError),
+            ("seed", 1.5, TypeError),
+            ("trials", True, TypeError),
+            ("trials", 2.5, TypeError),
+            ("tol", 1e-9, TypeError),
+            ("suites", "ring", TypeError),
+            ("suites", [], ValueError),
+        ],
+        ids=["seed-bool", "seed-float", "trials-bool", "trials-float", "tol-float",
+             "suites-str", "suites-empty"],
+    )
+    def test_wrong_arguments_are_refused_before_any_trial(self, monkeypatch, argument, value,
+                                                          error):
+        monkeypatch.setattr(fuzz, "make_pack", _refuse)
+        with pytest.raises(error, match=argument):
+            run_fuzz(**{"seed": 5, "trials": 1, argument: value})
+
+    def test_suites_may_be_any_iterable_of_names(self):
+        want = run_fuzz(5, 3, suites=["ring", "metric"]).properties
+        assert run_fuzz(5, 3, suites=(s for s in ("metric", "ring"))).properties == want
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seeds_outside_the_generator_state_space_are_rejected(self, seed):
@@ -214,7 +295,7 @@ def test_a_library_defect_in_a_derived_family_is_reported(monkeypatch, capsys, o
         assert inputs == operands[r.name][: len(inputs)], r.name
         if len(inputs) < len(operands[r.name]):
             cut.add(operands[r.name][len(inputs)])
-    assert cut and cut <= DERIVED
+    assert cut and cut <= LIBRARY_BUILT
     assert cli.main(["fuzz", "--seed", "42", "--trials", "2"]) == 3
     assert "FAIL" in capsys.readouterr().out
 

@@ -12,7 +12,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _strategies import components
-from paravec import ONE, ArityError, Paravector, ParseError, RotationAxis, SpatialRotation
+from paravec import (
+    ONE,
+    ArityError,
+    Paravector,
+    ParseError,
+    RotationAxis,
+    SpatialRotation,
+    ValidationError,
+)
 from paravec.cli import _COMMANDS, main
 from paravec.fuzz import _PROPS, MUTANTS, make_pack
 from paravec.wire import (
@@ -21,6 +29,7 @@ from paravec.wire import (
     from_wire,
     load_number_array,
     parse_paravector,
+    serialize_numbers,
     serialize_paravector,
     to_wire,
 )
@@ -87,6 +96,28 @@ class TestWire:
 
     def test_load_number_array_keeps_order(self):
         assert load_number_array("[3,1,2]") == [3.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "not bool"),
+            (float("inf"), "finite"),
+            (float("nan"), "finite"),
+            (complex("inf"), "finite"),
+            (complex(0.0, float("nan")), "finite"),
+            (10**400, "finite"),
+        ],
+        ids=["bool", "inf", "nan", "complex-inf", "complex-nan", "huge-int"],
+    )
+    def test_to_wire_refuses_numbers_the_wire_format_refuses(self, value, message):
+        with pytest.raises(ValidationError, match=message):
+            to_wire(value)
+
+    def test_to_wire_writes_finite_numbers_as_before(self):
+        assert to_wire(3) == 3.0 and type(to_wire(3)) is float
+        assert to_wire(-2.5) == -2.5
+        assert to_wire(1 - 2j) == [1.0, -2.0]
+        assert serialize_numbers([to_wire(10**300)]) == "[1e+300]"
 
     def test_fuzz_inputs_replay_through_the_pv_parsers(self):
         # the wire form of every family a law takes that is a pv operand parses
