@@ -428,7 +428,7 @@ def _weigh(tol, x, y, scale=None):
         if type(x) is not tuple:  # a matrix
             x, y = sum(x.rows, ()), sum(y.rows, ())
             if scale is None:
-                scale = component_scale(x, y)
+                scale = matrices._rows_scale(x, y)
         error = max(map(abs, map(sub, x, y)))
         if scale is None:
             scale = max(max(map(abs, x)), max(map(abs, y)))

@@ -141,6 +141,18 @@ class TestMatrixArithmetic:
         want = np.linalg.inv(oracles.mat_of(m))
         assert np.allclose(oracles.mat_of(m.inverse()), want, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "m",
+        [Matrix4(((1e200, 0, 0, 0), (0, 1e200, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+         Matrix2(((1e200, 0), (0, 1e200))),
+         to_matrix4(Paravector(1e160, (0, 0, 0)))],
+        ids=["Matrix4", "Matrix2", "embedding"],
+    )
+    def test_a_determinant_that_overflows_raises(self, m):
+        # as Paravector.det does, instead of returning nan or inf
+        with pytest.raises(ValidationError, match="determinant overflows"):
+            m.det()
+
     def test_singular_matrix_has_no_inverse(self):
         with pytest.raises(ValueError):
             to_matrix4(Paravector(1, (1, 0, 0))).inverse()
@@ -314,6 +326,17 @@ def square_rows(draw, n):
     return tuple(tuple(row) for row in rows)
 
 
+def _assert_same_det(cls, rows):
+    """The determinant matches the naive one bit for bit; where the naive one
+    is not finite, it raises ``ValidationError``."""
+    want = oracles.lu_det(rows)
+    if not cmath.isfinite(want):
+        with pytest.raises(ValidationError, match="determinant overflows"):
+            cls(rows).det()
+        return
+    assert repr(cls(rows).det()) == repr(want)
+
+
 def _assert_same_inverse(cls, rows):
     """The inverse matches the naive one bit for bit, errors included.
 
@@ -338,7 +361,7 @@ def test_optimized_algorithms_are_bit_identical_to_the_naive_ones(cls, n, data):
     b = data.draw(square_rows(n))
     m = cls(a)
     assert repr((m @ cls(b)).rows) == repr(oracles.naive_matmul(a, b))
-    assert repr(m.det()) == repr(oracles.lu_det(a))
+    _assert_same_det(cls, a)
     _assert_same_inverse(cls, a)
 
 
@@ -347,8 +370,47 @@ def test_embeddings_multiply_det_and_invert_bit_identically(a, b):
     for embed in (to_matrix4, to_pauli):
         m, n = embed(a), embed(b)
         assert repr((m @ n).rows) == repr(oracles.naive_matmul(m.rows, n.rows))
-        assert repr(m.det()) == repr(oracles.lu_det(m.rows))
+        _assert_same_det(type(m), m.rows)
         _assert_same_inverse(type(m), m.rows)
+
+
+_TIES = (0j, -0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1 + 0j, -1 + 0j, 1j, -1j, 2 + 0j)
+
+
+def _tie_rich_corpus(n, embed):
+    """Seeded rows of tied entries, then of embedded zero-rich paravectors."""
+    rng = random.Random(f"pivots/{n}")
+    corpus = [tuple(tuple(rng.choice(_TIES) for _ in range(n)) for _ in range(n))
+              for _ in range(2000)]
+    for _ in range(500):
+        s, x, y, z = (rng.choice(_TIES) for _ in range(4))
+        corpus.append(embed(Paravector(s, (x, y, z))).rows)
+    return corpus
+
+
+@pytest.mark.parametrize("cls, n, embed", [(Matrix4, 4, to_matrix4), (Matrix2, 2, to_pauli)])
+def test_every_pivot_of_the_kernels_is_taken_bit_identically(cls, n, embed, monkeypatch):
+    # Hypothesis need not reach each straight-line swap branch; on this corpus
+    # the naive elimination picks every (step, pivot row) pair at least once,
+    # recorded through the max() it pivots with, and the kernels match it
+    pivots = {"det": set(), "inverse": set()}
+    seen = None
+
+    def recording_max(candidates, key):  # candidates is range(step, n)
+        pivot = max(candidates, key=key)
+        seen.add((candidates.start, pivot))
+        return pivot
+
+    monkeypatch.setattr(oracles, "max", recording_max, raising=False)
+    corpus = _tie_rich_corpus(n, embed)
+    for rows, other in zip(corpus, corpus[1:] + corpus[:1]):
+        assert repr((cls(rows) @ cls(other)).rows) == repr(oracles.naive_matmul(rows, other))
+        seen = pivots["det"]
+        _assert_same_det(cls, rows)
+        seen = pivots["inverse"]
+        _assert_same_inverse(cls, rows)
+    every = {(step, row) for step in range(n) for row in range(step, n)}
+    assert pivots == {"det": every, "inverse": every}
 
 
 def test_format_matrix_gives_a_grid():
