@@ -15,11 +15,12 @@ output is the finalizer ``z ^= z>>30, z*=0xBF58476D1CE4E5B9, z ^= z>>27,
 z *= 0x94D049BB133111EB, z ^= z>>31`` applied to the state.  Trial i of a
 campaign with seed s has the trial seed ``t = mix(mix(s) + GAMMA*(i+1))``,
 where ``mix`` is that same finalizer.  The operand families come from a table
-with one row per draw, such as ``"a b c"`` or ``"perp1 perp2"``; the first read
-of a family runs its row with the row's own generator, seeded with
-``mix(t ^ crc32(names))`` (Steele, Lea and Flood, OOPSLA 2014).  So a run
-draws only the rows its laws read, the order of the reads changes no value,
-and a report is a pure function of (seed, trials, tolerance).  Components
+with one row per draw, such as ``"a b c"`` or ``"perp1 perp2"``; each family is
+a non-data descriptor of ``TrialPack`` whose first read runs its row with the
+row's own generator, seeded with ``mix(t ^ crc32(names))`` (Steele, Lea and
+Flood, OOPSLA 2014).  So a run draws only the rows its laws read, the order of
+the reads changes no value, and a report is a pure function of (seed, trials,
+tolerance).  Components
 are drawn uniformly from [-2, 2]; with 10% probability the triple ``a, b, c``
 is a structured corner case (zero, identity, a singular pair, special/unitar
 forms, scaled copies, extreme and tiny components).  Generation calls no
@@ -33,8 +34,9 @@ Each suite is a table of ``(name, law)`` rows in report order, QuickCheck's
 pack families it takes, named by its parameters and followed by ``tol``, as
 in ``lambda a, b, tol: (a + b, b + a)``; the registry reads those names once.
 A law returns or yields claims, which ``_holds`` asserts in order; ``_near``
-gives a law a verdict to combine.  Both weigh through ``_weigh``, the one
-place that sets an error against a threshold.
+gives a law a verdict to combine.  Both take the verdict of ``_weigh``, the one
+place that sets an error against a threshold; an error within ``tol.abs`` holds
+there before any scale is computed.
 
 Mutation self-test
 ------------------
@@ -369,11 +371,23 @@ _ROWS = (
     ("om2", lambda p, rng: _complex_normal(rng)),
 )
 
-# each family's row: its names, its id (the CRC-32 of its names) and its draw
-_ROW_OF = {
-    name: (names.split(), zlib.crc32(names.encode()), draw)
-    for names, draw in _ROWS for name in names.split()
-}
+
+class _Family:
+    """A family of ``TrialPack``; its row's families go to the pack's ``__dict__``."""
+
+    __slots__ = ("name", "names", "row_id", "draw")
+
+    def __init__(self, name, names, draw):
+        self.name, self.names, self.draw = name, names.split(), draw
+        self.row_id = zlib.crc32(names.encode())  # the row's id: the CRC-32 of its names
+
+    def __get__(self, pack, owner=None):
+        if pack is None:
+            return self
+        values = self.draw(pack, SplitMix64(mix64(pack._seed ^ self.row_id)))
+        built = pack.__dict__
+        built.update(zip(self.names, values) if len(self.names) > 1 else ((self.name, values),))
+        return built[self.name]
 
 
 class TrialPack:
@@ -388,13 +402,10 @@ class TrialPack:
     def __init__(self, seed):
         self._seed = seed
 
-    def __getattr__(self, name):
-        if name not in _ROW_OF:
-            raise AttributeError(f"{type(self).__name__} has no family {name!r}")
-        names, row_id, draw = _ROW_OF[name]
-        values = draw(self, SplitMix64(mix64(self._seed ^ row_id)))
-        self.__dict__.update(zip(names, values) if len(names) > 1 else ((name, values),))
-        return self.__dict__[name]
+
+for _names, _draw in _ROWS:
+    for _name in _names.split():
+        setattr(TrialPack, _name, _Family(_name, _names, _draw))
 
 
 def make_pack(seed, index):
@@ -408,60 +419,65 @@ def make_pack(seed, index):
 
 
 def _weigh(tol, x, y, scale=None):
-    """``(error, threshold)`` of the claim that ``x`` equals ``y``.
+    """Whether ``x`` equals ``y`` to ``tol``: the error against ``tol.linear(scale)``.
 
-    The error is the largest modulus of a componentwise difference and the
-    threshold is ``tol.linear(scale)``.  Unless the claim gives it, the scale
-    is the largest real or imaginary part of either side for paravectors and
-    matrices, and the largest modulus for numbers and vectors.
+    The error is the largest modulus of a componentwise difference.  Unless the
+    claim gives it, the scale is the largest real or imaginary part of either
+    side for paravectors and matrices, and the largest modulus for numbers and
+    vectors.  An error within ``tol.abs`` holds unscaled, as ``tol.abs <=
+    tol.linear(s)`` for any finite ``s >= 0``.  So the verdict differs from
+    ``error <= tol.linear(scale)`` only for a NaN scale, an infinite one with
+    ``tol.rel == 0`` (``0 * inf`` is NaN), or complex sides whose modulus
+    overflows (``abs`` raises); fuzz operands reach none of these.
     """
     if type(x) is Paravector:
         error = _deviation(x, y)
+        if error <= tol.abs:
+            return True
         if scale is None:
             sx, sy = _pv_scale(x), _pv_scale(y)
             scale = sx if sx > sy else sy
     elif type(x) is complex or type(x) is float:
         error = abs(x - y)
+        if error <= tol.abs:
+            return True
         if scale is None:
             scale = max(abs(x), abs(y))
     else:
-        if type(x) is not tuple:  # a matrix
+        matrix = type(x) is not tuple
+        if matrix:
             x, y = sum(x.rows, ()), sum(y.rows, ())
-            if scale is None:
-                scale = matrices._rows_scale(x, y)
         error = max(map(abs, map(sub, x, y)))
+        if error <= tol.abs:
+            return True
         if scale is None:
-            scale = max(max(map(abs, x)), max(map(abs, y)))
-    return error, tol.linear(scale)
+            scale = (matrices._rows_scale(x, y) if matrix
+                     else max(max(map(abs, x)), max(map(abs, y))))
+    return error <= tol.linear(scale)
 
 
 def _holds(law, operands, tol):
     """The assertion point: every claim of ``law(*operands, tol)`` holds.
 
     A claim is a verdict that must be true, or ``(lhs, rhs)`` or ``(lhs, rhs,
-    scale)`` whose sides must agree.  Claims are taken in order and the first
-    false one ends the law, so a law computes, and may raise, only as far as
-    it got.
+    scale)`` whose sides ``_weigh`` must find equal.  Claims are taken in order
+    and the first false one ends the law, so a law computes, and may raise,
+    only as far as it got.
     """
     claims = law(*operands, tol)
     if type(claims) is tuple:
-        error, threshold = _weigh(tol, *claims)
-        return error <= threshold
+        return _weigh(tol, *claims)
     if type(claims) is bool:
         return claims
     for claim in claims:
-        if type(claim) is not bool:
-            error, threshold = _weigh(tol, *claim)
-            claim = error <= threshold
-        if not claim:
+        if not (claim if type(claim) is bool else _weigh(tol, *claim)):
             return False
     return True
 
 
 def _near(x, y, tol, scale=None):
-    """The verdict point: whether ``x`` and ``y`` agree, for a law to combine."""
-    error, threshold = _weigh(tol, x, y, scale)
-    return error <= threshold
+    """The verdict point: ``_weigh``'s verdict on ``x`` and ``y``, for a law to combine."""
+    return _weigh(tol, x, y, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,23 @@ def _plane(w, tol, message):
     return plane, ww, sc
 
 
+def _sandwich_plane(w, tol, message):
+    """``({0|w}, w.w)`` of ``_plane``, for ``W g W / (w.w)``.
+
+    Past a scale of 2**256 they come back as ``2**-e W`` and its square, with
+    the scale of ``2**-e W`` in [1/2, 1): the quotient is the same, but the
+    parts of ``1/(w.w)`` stay in the normal range instead of being rounded
+    towards zero by complex division.  Power-of-two scaling is exact, so the
+    result is bit for bit that of the normal scaled into [1/2, 1).
+    """
+    plane, ww, sc = _plane(w, tol, message)
+    if sc > 2.0**256:
+        e = -math.frexp(sc)[1]
+        v = tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in plane.v)
+        plane, ww = _make(0j, v), vdot(v, v)
+    return plane, ww
+
+
 def mirror(g, w, tol=DEFAULT_TOL):
     """Mirror symmetry with respect to the plane with (complex) normal w.
 
@@ -198,7 +215,7 @@ def mirror(g, w, tol=DEFAULT_TOL):
     scalar sign flips, the vector component along the normal is reflected.
     Normals with ``w.w = 0`` are rejected.
     """
-    plane, ww, _ = _plane(w, tol, "mirror normal squares to zero")
+    plane, ww = _sandwich_plane(w, tol, "mirror normal squares to zero")
     return _scale((plane * g) * plane, -1.0 / ww)
 
 
@@ -231,7 +248,7 @@ def axial_symmetry(g, w, tol=DEFAULT_TOL):
     Preserves the scalar component; for a real w the vector part maps to
     ``2 (v.n) n - v`` with n the unit direction of w.
     """
-    plane, ww, _ = _plane(w, tol, "axial vector squares to zero")
+    plane, ww = _sandwich_plane(w, tol, "axial vector squares to zero")
     w = plane.v
     left = _make(0j, (-1j * w[0], -1j * w[1], -1j * w[2]))
     right = _make(0j, (1j * w[0], 1j * w[1], 1j * w[2]))

@@ -1,20 +1,38 @@
 """Determinism and plumbing of the property-fuzz engine."""
 
 import ast
+import math
 import os
+import random
 import subprocess
 import sys
+from operator import sub
 from pathlib import Path
 
 import pytest
 
-from paravec import DEFAULT_TOL, SUITES, Paravector, SplitMix64, cli, core, fuzz, run_fuzz
+from paravec import (
+    DEFAULT_TOL,
+    SUITES,
+    Paravector,
+    SplitMix64,
+    Tolerance,
+    ValidationError,
+    cli,
+    core,
+    fuzz,
+    matrices,
+    run_fuzz,
+)
+from paravec.core import _deviation, _pv_scale
 from paravec.fuzz import (
     _PROPS,
-    _ROW_OF,
+    _ROWS,
     MUTANTS,
+    TrialPack,
     _holds,
     _mutated,
+    _near,
     make_pack,
     mix64,
     trial_seed,
@@ -24,6 +42,8 @@ from paravec.wire import to_wire
 
 FUZZ_SOURCE = Path(__file__).resolve().parent.parent / "src" / "paravec" / "fuzz.py"
 
+# every family, in table order
+FAMILIES = [name for names, _ in _ROWS for name in names.split()]
 # the families whose rows call the library to build them
 LIBRARY_BUILT = {"rot1", "rot2", "axis1", "axis2"}
 
@@ -73,7 +93,7 @@ class TestPackGeneration:
         # the table declares exactly the families some law takes, and a fresh
         # pack holds none of them until one is read
         taken = {name for prop in _PROPS for name in prop.operands}
-        assert set(_ROW_OF) == taken
+        assert set(FAMILIES) == taken
         pack = make_pack(42, 0)
         assert vars(pack) == {}
         for prop in _PROPS:
@@ -84,7 +104,7 @@ class TestPackGeneration:
     def test_generation_calls_no_library_arithmetic(self, monkeypatch):
         # packs are built from raw components through _make and Paravector alone,
         # so a defect in library arithmetic can neither skew nor crash the stream
-        drawn = [name for name in _ROW_OF if name not in LIBRARY_BUILT]
+        drawn = [name for name in FAMILIES if name not in LIBRARY_BUILT]
 
         def packs():
             return [repr([getattr(make_pack(42, i), name) for name in drawn]) for i in range(200)]
@@ -104,7 +124,7 @@ class TestPackGeneration:
         assert seen_zero
 
     def test_families_do_not_depend_on_the_order_of_reads(self):
-        names = list(_ROW_OF)
+        names = FAMILIES
         for i in range(30):
             forward, backward = make_pack(9, i), make_pack(9, i)
             want = [repr(getattr(forward, name)) for name in names]
@@ -119,8 +139,16 @@ class TestPackGeneration:
         par2 = pack.par2  # reads the families it is built from
         assert vars(pack)["par1"] is pack.par1 and vars(pack)["lam"] is pack.lam
         assert par2 == Paravector(pack.par1.s * pack.lam, tuple(z * pack.lam for z in pack.par1.v))
-        with pytest.raises(AttributeError, match="no family 'unitar'"):
+        with pytest.raises(AttributeError, match="'unitar'"):
             pack.unitar
+
+    def test_families_are_non_data_descriptors_of_the_class(self):
+        # a read finds a drawn family in the pack's __dict__ before the descriptor,
+        # and no __getattr__ is left to catch a failed lookup
+        assert not hasattr(TrialPack, "__getattr__")
+        for name in FAMILIES:
+            family = type(vars(TrialPack)[name])
+            assert hasattr(family, "__get__") and not hasattr(family, "__set__"), name
 
     def test_a_run_opens_one_generator_per_row_its_laws_read(self, monkeypatch):
         opened = []
@@ -336,6 +364,118 @@ def test_laws_weigh_no_threshold_of_their_own():
             ):
                 offences.append((node.lineno, "abs(...) compared"))
     assert offences == []
+
+
+def _weigh_with_scale(tol, x, y, scale=None):
+    """The judge that always computes the scale: ``(error, tol.linear(scale))``."""
+    if type(x) is Paravector:
+        error = _deviation(x, y)
+        if scale is None:
+            sx, sy = _pv_scale(x), _pv_scale(y)
+            scale = sx if sx > sy else sy
+    elif type(x) is complex or type(x) is float:
+        error = abs(x - y)
+        if scale is None:
+            scale = max(abs(x), abs(y))
+    else:
+        if type(x) is not tuple:  # a matrix
+            x, y = sum(x.rows, ()), sum(y.rows, ())
+            if scale is None:
+                scale = matrices._rows_scale(x, y)
+        error = max(map(abs, map(sub, x, y)))
+        if scale is None:
+            scale = max(max(map(abs, x)), max(map(abs, y)))
+    return error, tol.linear(scale)
+
+
+def _cx(parts):
+    """The complex numbers whose real and imaginary parts alternate in ``parts``."""
+    return [complex(re, im) for re, im in zip(parts[::2], parts[1::2])]
+
+
+def _rows(parts, n):
+    """The rows of the n x n matrix of ``_cx(parts)``."""
+    z = _cx(parts)
+    return tuple(tuple(z[k : k + n]) for k in range(0, n * n, n))
+
+
+# each kind of claim side, built from a flat list of real parts, finite or not
+_SIDE_KINDS = {
+    "paravector": (8, lambda p: core._make((z := _cx(p))[0], tuple(z[1:]))),
+    "complex": (2, lambda p: complex(*p)),
+    "float": (1, lambda p: p[0]),
+    "complex-vector": (6, lambda p: tuple(_cx(p))),
+    "real-vector": (3, tuple),
+    "matrix2": (8, lambda p: matrices.Matrix2(_rows(p, 2))),
+    "matrix4": (32, lambda p: matrices.Matrix4(_rows(p, 4))),
+}
+_JUDGE_TOLERANCES = [Tolerance(1e-9, 1e-9), Tolerance(0.0, 0.0), Tolerance(1e-3, 0.0),
+                     Tolerance(0.0, 1e-9)]
+
+
+def _judge_corpus(seed=25, bases=6):
+    """``(tol, x, y, scale)`` claims whose error lands at, just below and just above
+    ``tol.abs`` and the threshold, or is infinite or NaN, and pairs of sides that
+    differ only in signed zeros."""
+    rng = random.Random(seed)
+    for kind, (n, build) in _SIDE_KINDS.items():
+        for _ in range(bases):
+            parts = [0.0 if rng.random() < 0.25 else rng.uniform(-2.0, 2.0) for _ in range(n)]
+            moved = rng.randrange(n)  # moving a zero part by d makes the error |d| exactly
+            parts[moved] = 0.0
+            x = build(parts)
+            flipped = build([-0.0 if part == 0.0 else part for part in parts])
+            for tol in _JUDGE_TOLERANCES:
+                for scale in (None, 0.0, 1.0, 3.7, 1e6):
+                    yield tol, x, flipped, scale
+                    yield tol, flipped, x, scale
+                    _, threshold = _weigh_with_scale(tol, x, x, scale)
+                    moves = [math.inf, math.nan]
+                    for target in (0.0, tol.abs, threshold):
+                        moves += (math.nextafter(target, 0.0), target, math.nextafter(target, 1.0))
+                    for d in moves:
+                        for sign in (1.0, -1.0):
+                            parts_y = list(parts)
+                            parts_y[moved] = sign * d
+                            try:
+                                y = build(parts_y)
+                            except ValidationError:  # a matrix holds finite entries only
+                                continue
+                            yield tol, x, y, scale
+
+
+def test_the_judge_gives_the_verdict_of_the_scaled_threshold():
+    # the short path (an error within tol.abs holds without a scale) changes no
+    # verdict, at either comparison point
+    seen = set()
+    corpus = list(_judge_corpus())
+    for tol, x, y, scale in corpus:
+        error, threshold = _weigh_with_scale(tol, x, y, scale)
+        want = error <= threshold
+        claim = (x, y) if scale is None else (x, y, scale)
+        assert _near(x, y, tol, scale) is want, (tol, x, y, scale)
+        assert _holds(lambda tol: claim, (), tol) is want
+        assert _holds(lambda tol: iter([claim, True]), (), tol) is want
+        seen.add((
+            "at abs" if error == tol.abs else "at threshold" if error == threshold else "other",
+            tol.abs < error <= threshold,
+            want,
+        ))
+    assert len(corpus) > 5000
+    assert {("at abs", False, True), ("at threshold", True, True), ("other", True, True),
+            ("other", False, False)} <= seen
+
+
+def test_the_judge_differs_from_the_scaled_threshold_only_where_its_docstring_says():
+    # a scale that makes tol.rel * scale NaN, or a modulus past the float range
+    no_rel = Tolerance(1e-9, 0.0)
+    error, threshold = _weigh_with_scale(no_rel, 1.0, 1.0, math.inf)
+    assert error == 0.0 and math.isnan(threshold)  # 0 * inf: the claim failed
+    assert _near(1.0, 1.0, no_rel, math.inf)
+    huge = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverflowError):  # abs(huge), taken for the scale
+        _weigh_with_scale(DEFAULT_TOL, huge, huge)
+    assert _near(huge, huge, DEFAULT_TOL)
 
 
 def _unread_parameters(statements):

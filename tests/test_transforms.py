@@ -1,12 +1,13 @@
 """Rotations, mirror/axial symmetry, Euler composition, orthogonality."""
 
+import cmath
 import copy
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
@@ -284,6 +285,44 @@ class TestMirror:
         )
         got = mirror(g, w)
         assert approx_eq(got, Paravector(-g.s, expected_vector), TOL8)
+
+
+# parts that are zero or at least 2**-20 in modulus: no product of them, times
+# a power of two, leaves the normal range before w.w itself overflows
+moderate_parts = st.sampled_from([0.0, -0.0]) | st.floats(-4, 4).filter(lambda x: abs(x) >= 2**-20)
+moderate_complexes = st.builds(complex, moderate_parts, moderate_parts)
+moderate_normals = st.tuples(moderate_complexes, moderate_complexes, moderate_complexes)
+moderate_paravectors = st.builds(Paravector, moderate_complexes, moderate_normals)
+
+
+class TestHugeNormals:
+    # w.w is about 1e308 + 1e308j, where 1/(w.w) once rounded to zero
+    HUGE = (cmath.sqrt(1e308 + 1e308j), 0, 0)
+
+    @pytest.mark.parametrize("g", [ONE, Paravector(1, (1, 0, 0))], ids=["one", "g"])
+    @pytest.mark.parametrize("reflect", [mirror, axial_symmetry])
+    def test_a_huge_normal_reflects_like_a_unit_one(self, reflect, g):
+        got = reflect(g, self.HUGE)
+        assert approx_eq(got, reflect(g, (1, 0, 0)))
+        assert got != Paravector(0, (0, 0, 0))
+
+    @given(moderate_paravectors, moderate_normals, st.integers(0, 600))
+    # scaled to about 2**508, w.w is near 2**1018 and 1/(w.w) has a subnormal part
+    @example(Paravector(0.5j, (1, 1, 1 - 1.5j)), (-0.25j, 1 - 1.5j, 1.5 - 1j), 507)
+    def test_a_power_of_two_times_a_normal_reflects_bit_for_bit_alike(self, g, w, k):
+        scaled = tuple(complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) for z in w)
+        for reflect in (mirror, axial_symmetry):
+            try:
+                want = reflect(g, w)
+            except IsotropicNormal:
+                assume(False)
+            try:
+                got = reflect(g, scaled)
+            except ValidationError as err:
+                # 2**k w squares past the float range
+                assert "w.w overflows" in str(err) and k > 500
+                continue
+            assert repr(got) == repr(want), reflect.__name__
 
 
 class TestComposeMirrors:
