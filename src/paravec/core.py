@@ -256,12 +256,13 @@ class Paravector(_Value):
         d, sc, singular, _ = _det_verdict(self, tol)
         if singular:
             raise SingularParavector("singular paravector has no inverse")
-        if sc > 2.0**509:
-            # 1/d could leave the normal range: invert k*self, with scale in
-            # [1/2, 1), and multiply back by the power of two k
-            k = 2.0 ** -math.frexp(sc)[1]
-            q = _scale(self, k)
-            return _scale(_scale(q.rev(), 1.0 / q.det()), k)
+        if sc > 2.0**256:
+            # a part of 1/d could leave the normal range: invert q = 2**e self,
+            # with scale in [1/2, 1), and scale 1/det(q) by 2**e to undo it
+            e = -math.frexp(sc)[1]
+            v = self.v
+            q = _make(_ldexp(self.s, e), (_ldexp(v[0], e), _ldexp(v[1], e), _ldexp(v[2], e)))
+            return _scale(q.rev(), _ldexp(1.0 / q.det(), e))
         return _scale(self.rev(), 1.0 / d)
 
     def module(self, tol=DEFAULT_TOL):
@@ -366,6 +367,14 @@ def _scale(p, k):
     component can differ, because the product adds the zero cross terms."""
     v = p.v
     return _make(p.s * k, (v[0] * k, v[1] * k, v[2] * k))
+
+
+def _ldexp(z, e):
+    """The complex number ``z`` times ``2**e``, part by part with ``math.ldexp``.
+
+    Exact while both parts stay in the normal range, and, unlike ``z * 2.0**e``,
+    it keeps the sign of a zero part."""
+    return complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
 
 
 def _coerce(x):

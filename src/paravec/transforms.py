@@ -21,6 +21,7 @@ from .core import (
     _as_cvector,
     _as_real,
     _as_rvector,
+    _ldexp,
     _make,
     _pv_scale,
     _scale,
@@ -203,7 +204,7 @@ def _sandwich_plane(w, tol, message):
     plane, ww, sc = _plane(w, tol, message)
     if sc > 2.0**256:
         e = -math.frexp(sc)[1]
-        v = tuple(complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in plane.v)
+        v = tuple(_ldexp(z, e) for z in plane.v)
         plane, ww = _make(0j, v), vdot(v, v)
     return plane, ww
 

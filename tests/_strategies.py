@@ -41,3 +41,11 @@ def real_vectors(draw, min_norm=0.1):
     v = tuple(draw(components) for _ in range(3))
     assume(v[0] ** 2 + v[1] ** 2 + v[2] ** 2 > min_norm * min_norm)
     return v
+
+
+# parts that are zero or at least 2**-20 in modulus: no product of them, times
+# a power of two, leaves the normal range before a square of the scaled parts
+# overflows
+moderate_parts = st.sampled_from([0.0, -0.0]) | st.floats(-4, 4).filter(lambda x: abs(x) >= 2**-20)
+moderate_complexes = st.builds(complex, moderate_parts, moderate_parts)
+moderate_paravectors = st.builds(Paravector, moderate_complexes, st.tuples(*(moderate_complexes,) * 3))

@@ -1,4 +1,8 @@
-"""Ring operations, involutions, determinant/vigor machinery, classification."""
+"""Ring operations, involutions, determinant/vigor machinery, classification.
+
+A law that ``paravec.fuzz`` asserts is not restated here; these tests hold frozen
+examples, exact or bit identities, other magnitude bands and independent oracles.
+"""
 
 import cmath
 import math
@@ -10,7 +14,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import _oracles as oracles
-from _strategies import nonsingular_paravectors, paravectors, proper_paravectors, real_vectors
+from _strategies import (
+    moderate_paravectors,
+    nonsingular_paravectors,
+    paravectors,
+    proper_paravectors,
+    real_vectors,
+)
 from paravec import (
     DEFAULT_TOL,
     ONE,
@@ -37,6 +47,12 @@ E2 = Paravector(0, (0, 1, 0))
 
 def pv(s, v):
     return Paravector(s, v)
+
+
+def _times_two_to(p, k):
+    """``p`` times ``2**k``, each real part scaled exactly."""
+    s, x, y, z = (complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in (p.s, *p.v))
+    return Paravector(s, (x, y, z))
 
 
 class TestConstruction:
@@ -163,11 +179,6 @@ class TestInvolutions:
     def test_conj_commutes_with_rev(self, g):
         assert g.rev().conj() == g.conj().rev()
 
-    @given(paravectors(), paravectors())
-    def test_involutions_reverse_products(self, a, b):
-        assert approx_eq((a * b).rev(), b.rev() * a.rev())
-        assert approx_eq((a * b).conj(), b.conj() * a.conj())
-
 
 class TestVigor:
     def test_identity(self):
@@ -180,14 +191,6 @@ class TestVigor:
         scalar, vector = oracles.vig_components(g)
         assert g.vig().s == pytest.approx(scalar)
         assert np.allclose([z.real for z in g.vig().v], vector)
-
-    @given(paravectors())
-    def test_vig_is_real_with_nonnegative_scalar(self, g):
-        w = g.vig()
-        thr = DEFAULT_TOL.quadratic(max(abs(g.s), max(abs(z) for z in g.v), 1.0))
-        assert abs(w.s.imag) <= thr
-        assert w.s.real >= -thr
-        assert all(abs(z.imag) <= thr for z in w.v)
 
     @given(paravectors())
     def test_vig_matches_component_expansion(self, g):
@@ -219,17 +222,6 @@ class TestDeterminant:
         d = g.det()
         expected = oracles.det_components(g)
         assert abs(d - expected) <= DEFAULT_TOL.quadratic(max(1.0, abs(d)))
-
-    @given(paravectors(), paravectors())
-    def test_multiplicative(self, a, b):
-        lhs = (a * b).det()
-        rhs = a.det() * b.det()
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs), abs(rhs))
-
-    @given(paravectors())
-    def test_invariant_under_rev_and_conj(self, g):
-        assert g.rev().det() == pytest.approx(g.det())
-        assert g.conj().det() == pytest.approx(g.det().conjugate())
 
 
 class TestInverse:
@@ -270,6 +262,24 @@ class TestInverse:
         assert approx_eq(inv * g, ONE, Tolerance(1e-7, 1e-7))
         assert approx_eq(g * inv, ONE, Tolerance(1e-7, 1e-7))
 
+    @given(moderate_paravectors, st.integers(0, 600))
+    # scaled to 2**508, 1/d had a subnormal part and lost its last bits
+    @example(Paravector(0.25j, (-0.75 + 0.25j, 1.5 - 1.25j, 0.75 - 1.25j)), 508)
+    # scaled to 2**509, multiplying by a float power of two turned a -0 part into 0
+    @example(Paravector(1 - 0.5j, (0.75 + 0.5j, complex(-0.0, 0.0), 1 - 1.5j)), 509)
+    def test_a_power_of_two_times_a_paravector_inverts_bit_for_bit_alike(self, g, k):
+        try:
+            want = g.inverse()
+        except SingularParavector:
+            assume(False)
+        try:
+            got = _times_two_to(g, k).inverse()
+        except ValidationError as err:
+            # 2**k g squares past the float range
+            assert "determinant overflows" in str(err) and k > 500
+            return
+        assert repr(_times_two_to(got, k)) == repr(want)
+
 
 class TestModule:
     def test_frozen_example(self):
@@ -281,12 +291,6 @@ class TestModule:
     def test_negative_determinant_raises(self):
         with pytest.raises(ImproperParavector):
             pv(1, (2, 0, 0)).module()
-
-    @given(proper_paravectors(), proper_paravectors())
-    def test_multiplicative_on_proper_pairs(self, a, b):
-        lhs = (a * b).module(Tolerance(1e-7, 1e-7))
-        rhs = a.module() * b.module()
-        assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-7)
 
 
 class TestNormalize:
@@ -302,11 +306,6 @@ class TestNormalize:
     def test_singular_input_raises(self):
         with pytest.raises(ImproperParavector):
             pv(1, (1, 0, 0)).normalize()
-
-    @given(proper_paravectors())
-    def test_result_has_rev_as_inverse(self, g):
-        n = g.normalize()
-        assert approx_eq(n.inverse(), n.rev(), Tolerance(1e-7, 1e-7))
 
 
 class TestClassify:
@@ -332,15 +331,6 @@ class TestClassify:
         assert not (c.is_proper and c.is_singular)
         if c.is_orthogonal:
             assert c.is_proper
-
-    @given(paravectors(), paravectors())
-    def test_singular_absorbs_products(self, a, b):
-        v = a.v
-        s = (v[0] ** 2 + v[1] ** 2 + v[2] ** 2) ** 0.5
-        singular = Paravector(s, v)
-        product = singular * b
-        scale = max(1.0, max(abs(z) for z in (product.s,) + product.v))
-        assert abs(product.det()) <= 1e-9 * scale * scale
 
 
 # abs = 0, so rel * scale (or rel * scale**2) alone sets each threshold below;
@@ -432,16 +422,6 @@ class TestOneDeterminantOneRule:
 
 
 class TestRingAxioms:
-    @given(paravectors(), paravectors(), paravectors())
-    def test_mul_associative(self, a, b, c):
-        assert approx_eq((a * b) * c, a * (b * c), Tolerance(1e-8, 1e-8))
-
-    @given(paravectors(), paravectors(), paravectors())
-    def test_distributive(self, a, b, c):
-        tol = Tolerance(1e-8, 1e-8)
-        assert approx_eq(a * (b + c), a * b + a * c, tol)
-        assert approx_eq((a + b) * c, a * c + b * c, tol)
-
     @given(paravectors(), paravectors())
     def test_add_commutative(self, a, b):
         assert a + b == b + a

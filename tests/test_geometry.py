@@ -1,12 +1,13 @@
-"""Parallelism/perpendicularity predicates and paravector angles."""
+"""Parallelism/perpendicularity predicates and paravector angles.
+
+A law that ``paravec.fuzz`` asserts is not restated here; these tests hold frozen
+examples, exact or bit identities, other magnitude bands and independent oracles.
+"""
 
 import math
 
 import pytest
-from hypothesis import given
 
-from _oracles import det_components
-from _strategies import components, paravectors, proper_paravectors
 from paravec import (
     ONE,
     ZERO,
@@ -53,16 +54,6 @@ class TestParallel:
         lam = 0.5 + 2j
         assert parallel_ratio(g * lam, g) == pytest.approx(lam)
 
-    @given(paravectors(), components, components)
-    def test_scalar_multiples_are_parallel_both_ways(self, g, re, im):
-        d = det_components(g)
-        lam = complex(re, im)
-        if abs(d) < 0.05 or abs(lam) < 0.1:
-            return
-        h = g * lam
-        assert is_parallel(g, h) and is_parallel(h, g)
-        assert approx_eq(h, g * parallel_ratio(h, g), TOL8)
-
 
 class TestPerpendicular:
     def test_scalar_and_imaginary_vector(self):
@@ -78,18 +69,6 @@ class TestPerpendicular:
     def test_self_perpendicularity_marks_singularity(self):
         g = Paravector(1, (1, 0, 0))
         assert scalar_product(g, g) == 0
-
-    @given(proper_paravectors(), paravectors(), components, components)
-    def test_transports_along_parallelism(self, a, raw, re, im):
-        da = a.det()
-        k = scalar_product(a, raw) / da
-        b = raw - a * k
-        mu = complex(re, im)
-        if abs(b.det()) < 0.05 or abs(mu) < 0.1:
-            return
-        assert is_perpendicular(a, b, TOL8)
-        assert is_perpendicular(b, a, TOL8)
-        assert is_perpendicular(a, b * mu, TOL8)
 
 
 class TestSpatialParallel:
@@ -187,12 +166,6 @@ class TestAngle:
         with pytest.raises(InvariantViolation):
             Angle(Paravector(2, (0, 0, 0)), RIGHT)
 
-    @given(proper_paravectors(), proper_paravectors())
-    def test_determinant_one_for_both_orientations(self, a, b):
-        for o in (RIGHT, LEFT):
-            d = angle(a, b, o).value.det()
-            assert abs(d - 1.0) <= 1e-7 * max(1.0, abs(d))
-
 
 class TestAngleComposition:
     def test_identity_composes_neutrally(self):
@@ -214,17 +187,6 @@ class TestAngleComposition:
         g = Angle.identity(RIGHT)
         with pytest.raises(OrientationMismatch):
             compose_angles(f, g)
-
-    @given(proper_paravectors(), proper_paravectors())
-    def test_doubling_rows(self, a, b):
-        f = angle(a, b, LEFT)
-        doubled = compose_angles(f, f)
-        cosi = f.cosinis * f.cosinis + sum(z * z for z in f.sinis)
-        scale = max(1.0, abs(doubled.cosinis), abs(cosi))
-        assert abs(doubled.cosinis - cosi) <= 1e-7 * scale
-        for k in range(3):
-            want = 2 * f.cosinis * f.sinis[k]
-            assert abs(doubled.sinis[k] - want) <= 1e-7 * max(1.0, abs(want))
 
 
 class TestExplement:
@@ -263,28 +225,6 @@ def test_left_and_right_angles_are_not_explementary():
     product = left.value * right.value
     assert not approx_eq(product, ONE)
     assert product.s == pytest.approx(7 / 9)
-
-
-class TestDeterminantMetricLaws:
-    @given(paravectors(), paravectors())
-    def test_polarization_identity(self, a, b):
-        lhs = (a + b).det()
-        rhs = a.det() + 2 * scalar_product(a, b) + b.det()
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
-
-    @given(paravectors(), paravectors())
-    def test_parallelogram_law(self, a, b):
-        lhs = (a + b).det() + (a - b).det()
-        rhs = 2 * a.det() + 2 * b.det()
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
-
-    @given(proper_paravectors(), paravectors())
-    def test_pythagorean_for_perpendicular_pairs(self, a, raw):
-        k = scalar_product(a, raw) / a.det()
-        b = raw - a * k
-        lhs = (a + b).det()
-        rhs = a.det() + b.det()
-        assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestAngleCharacter:

@@ -1,4 +1,8 @@
-"""4x4 and 2x2 matrix representations and their self-contained arithmetic."""
+"""4x4 and 2x2 matrix representations and their self-contained arithmetic.
+
+A law that ``paravec.fuzz`` asserts is not restated here; these tests hold frozen
+examples, exact or bit identities, other magnitude bands and independent oracles.
+"""
 
 import cmath
 import random
@@ -18,7 +22,6 @@ from paravec import (
     Paravector,
     Tolerance,
     ValidationError,
-    approx_eq,
     format_matrix,
     from_matrix4,
     to_matrix4,
@@ -53,29 +56,12 @@ class TestEmbeddingPattern:
 
 class TestHomomorphism:
     @given(paravectors(), paravectors())
-    def test_products_map_to_matrix_products(self, a, b):
-        lhs = to_matrix4(a * b)
-        rhs = to_matrix4(a) @ to_matrix4(b)
-        assert lhs.approx_eq(rhs, Tolerance(1e-8, 1e-8))
-
-    @given(paravectors(), paravectors())
     def test_sums_map_to_matrix_sums(self, a, b):
         assert to_matrix4(a + b) == to_matrix4(a) + to_matrix4(b)
 
     @given(paravectors())
     def test_conjugation_is_hermitian_conjugation(self, g):
         assert to_matrix4(g.conj()) == to_matrix4(g).conj_transpose()
-
-    @given(paravectors())
-    def test_determinant_squares(self, g):
-        d = g.det()
-        det4 = to_matrix4(g).det()
-        assert abs(det4 - d * d) <= 1e-7 * max(1.0, abs(det4), abs(d * d))
-
-    @given(nonsingular_paravectors(min_det=0.1))
-    def test_inverse_maps_to_the_matrix_inverse(self, g):
-        lhs = to_matrix4(g.inverse())
-        assert lhs.approx_eq(to_matrix4(g).inverse(), Tolerance(1e-6, 1e-6))
 
 
 class TestRoundTrip:
@@ -207,17 +193,6 @@ class TestPauli:
     @given(paravectors())
     def test_matches_the_numpy_combination(self, g):
         assert np.allclose(oracles.mat_of(to_pauli(g)), oracles.np2(g))
-
-    @given(paravectors(), paravectors())
-    def test_products_map_to_matrix_products(self, a, b):
-        lhs = to_pauli(a * b)
-        assert lhs.approx_eq(to_pauli(a) @ to_pauli(b), Tolerance(1e-8, 1e-8))
-
-    @given(paravectors())
-    def test_determinant_is_preserved(self, g):
-        d = g.det()
-        det2 = to_pauli(g).det()
-        assert abs(det2 - d) <= 1e-8 * max(1.0, abs(d))
 
 
 def _results(a, b):

@@ -1,28 +1,27 @@
-"""Oriented integrated products, scalar product, vector products."""
+"""Oriented integrated products, scalar product, vector products.
+
+A law that ``paravec.fuzz`` asserts is not restated here; these tests hold frozen
+examples, exact or bit identities, other magnitude bands and independent oracles.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given
 
 import _oracles as oracles
-from _strategies import components, paravectors
 from paravec import (
     ONE,
     Orientation,
     Paravector,
-    Tolerance,
     ValidationError,
     approx_eq,
     classify,
     integrated,
     scalar_product,
-    vdot,
     vector_product,
 )
 
 A = Paravector(1, (1, 0, 0))
 B = Paravector(1, (0, 1, 0))
-TOL8 = Tolerance(1e-8, 1e-8)
 
 
 class TestIntegrated:
@@ -47,47 +46,6 @@ class TestIntegrated:
         with pytest.raises(TypeError):
             integrated(A, B, "right")
 
-    @given(paravectors(), paravectors())
-    def test_scalar_parts_of_both_orientations_agree(self, a, b):
-        r = integrated(a, b, Orientation.RIGHT).s
-        l = integrated(a, b, Orientation.LEFT).s
-        sp = scalar_product(a, b)
-        assert r == pytest.approx(sp, abs=1e-9)
-        assert l == pytest.approx(sp, abs=1e-9)
-
-    @given(paravectors(), paravectors())
-    def test_reversion_swaps_the_arguments(self, a, b):
-        for o in Orientation:
-            assert approx_eq(
-                integrated(a, b, o).rev(), integrated(b, a, o), TOL8
-            )
-
-    @given(paravectors(), paravectors(), paravectors())
-    def test_additive_in_the_first_argument(self, a, b, c):
-        for o in Orientation:
-            lhs = integrated(a + b, c, o)
-            rhs = integrated(a, c, o) + integrated(b, c, o)
-            assert approx_eq(lhs, rhs, TOL8)
-
-    @given(paravectors(), paravectors(), components, components)
-    def test_homogeneous_in_complex_scalars(self, a, b, re, im):
-        lam = complex(re, im)
-        for o in Orientation:
-            base = integrated(a, b, o) * lam
-            assert approx_eq(integrated(a * lam, b, o), base, TOL8)
-            assert approx_eq(integrated(a, b * lam, o), base, TOL8)
-
-    @given(paravectors(), paravectors())
-    def test_determinant_factorizes(self, a, b):
-        target = a.det() * b.det()
-        for o in Orientation:
-            d = integrated(a, b, o).det()
-            assert abs(d - target) <= 1e-8 * max(1.0, abs(d), abs(target))
-        sp = scalar_product(a, b)
-        vv = vector_product(a, b, Orientation.RIGHT)
-        lhs = sp * sp - vdot(vv, vv)
-        assert abs(lhs - target) <= 1e-8 * max(1.0, abs(lhs), abs(target))
-
 
 class TestScalarProduct:
     def test_self_is_determinant(self):
@@ -100,10 +58,6 @@ class TestScalarProduct:
 
     def test_perpendicular_pair(self):
         assert scalar_product(ONE, Paravector(0, (1, 0, 0))) == 0
-
-    @given(paravectors(), paravectors())
-    def test_symmetric(self, a, b):
-        assert scalar_product(a, b) == pytest.approx(scalar_product(b, a))
 
     def test_zero_self_product_implies_singular(self):
         g = Paravector(1, (1, 0, 0))
@@ -146,16 +100,3 @@ class TestVectorProduct:
         right = vector_product(a, b, Orientation.RIGHT)
         left = vector_product(a, b, Orientation.LEFT)
         assert right != tuple(-z.conjugate() for z in left)
-
-
-@given(paravectors(), paravectors())
-def test_spatial_embeddings_recover_the_euclidean_dot(a, b):
-    w1 = tuple(z.real for z in a.v)
-    w2 = tuple(z.real for z in b.v)
-    dot = sum(x * y for x, y in zip(w1, w2))
-    real_a = Paravector(0, w1)
-    real_b = Paravector(0, w2)
-    assert scalar_product(real_a, real_b) == pytest.approx(-dot)
-    imag_a = Paravector(0, tuple(1j * x for x in w1))
-    imag_b = Paravector(0, tuple(1j * x for x in w2))
-    assert scalar_product(imag_a, imag_b) == pytest.approx(dot)

@@ -1,4 +1,8 @@
-"""Rotations, mirror/axial symmetry, Euler composition, orthogonality."""
+"""Rotations, mirror/axial symmetry, Euler composition, orthogonality.
+
+A law that ``paravec.fuzz`` asserts is not restated here; these tests hold frozen
+examples, exact or bit identities, other magnitude bands and independent oracles.
+"""
 
 import cmath
 import copy
@@ -14,8 +18,9 @@ import _oracles as oracles
 from _strategies import (
     complexes,
     coords,
+    moderate_complexes,
+    moderate_paravectors,
     paravectors,
-    proper_paravectors,
     real_vectors,
     zero_rich_paravectors,
 )
@@ -70,15 +75,6 @@ class TestSimilarity:
         with pytest.raises(SingularParavector):
             similarity(ONE, Paravector(1, (1, 0, 0)))
 
-    @given(paravectors(), proper_paravectors(), proper_paravectors())
-    def test_equivalence_relation(self, g, f1, f2):
-        tol = Tolerance(1e-6, 1e-6)
-        there = similarity(g, f1)
-        assert approx_eq(similarity(there, f1.inverse()), g, tol)
-        assert approx_eq(
-            similarity(similarity(g, f1), f2), similarity(g, f1 * f2), tol
-        )
-
 
 class TestRotationAxis:
     def test_needs_unit_determinant(self):
@@ -112,14 +108,6 @@ class TestRotate:
         g = Paravector(3 - 1j, tuple((0.5 + 2j) * z for z in axis.value.v))
         assert approx_eq(rotate(g, axis, LEFT), g, TOL8)
         assert approx_eq(rotate(g, axis, RIGHT), g, TOL8)
-
-    @given(paravectors(), proper_paravectors())
-    def test_preserves_det_and_scalar(self, g, f):
-        axis = RotationAxis.from_paravector(f)
-        for o in (LEFT, RIGHT):
-            r = rotate(g, axis, o)
-            assert abs(r.det() - g.det()) <= 1e-7 * max(1.0, abs(g.det()))
-            assert abs(r.s - g.s) <= 1e-7 * max(1.0, abs(g.s))
 
 
 class TestSpatialAxis:
@@ -189,11 +177,6 @@ class TestRotateVector:
         want = oracles.rodrigues(w, rot.n, 2.0 * phi)
         assert np.allclose(got, want, atol=1e-9)
 
-    @given(real_vectors(), real_vectors(min_norm=0.3), angles)
-    def test_is_an_isometry(self, w, axis, phi):
-        got = rotate_vector(w, SpatialRotation.about(axis, phi))
-        assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(w), abs=1e-9)
-
 
 class TestEulerCompose:
     def test_doubling_about_z(self):
@@ -223,20 +206,6 @@ class TestEulerCompose:
             oracles.rodrigues(w, r1.n, 2 * r1.phi), r2.n, 2 * r2.phi
         )
         assert np.allclose(rotate_vector(w, got), sequential)
-
-    @given(
-        real_vectors(min_norm=0.3),
-        real_vectors(min_norm=0.3),
-        real_vectors(min_norm=0.3),
-        angles,
-        angles,
-    )
-    def test_matches_sequential_application(self, w, a1, a2, p1, p2):
-        r1 = SpatialRotation.about(a1, p1)
-        r2 = SpatialRotation.about(a2, p2)
-        sequential = rotate_vector(rotate_vector(w, r1), r2)
-        combined = rotate_vector(w, euler_compose(r1, r2))
-        assert np.allclose(sequential, combined, atol=1e-7)
 
 
 class TestMirror:
@@ -287,12 +256,7 @@ class TestMirror:
         assert approx_eq(got, Paravector(-g.s, expected_vector), TOL8)
 
 
-# parts that are zero or at least 2**-20 in modulus: no product of them, times
-# a power of two, leaves the normal range before w.w itself overflows
-moderate_parts = st.sampled_from([0.0, -0.0]) | st.floats(-4, 4).filter(lambda x: abs(x) >= 2**-20)
-moderate_complexes = st.builds(complex, moderate_parts, moderate_parts)
 moderate_normals = st.tuples(moderate_complexes, moderate_complexes, moderate_complexes)
-moderate_paravectors = st.builds(Paravector, moderate_complexes, moderate_normals)
 
 
 class TestHugeNormals:
@@ -339,16 +303,6 @@ class TestComposeMirrors:
         with pytest.raises(DegenerateComposition):
             compose_mirrors((1, 1j * (1 - 1.5e-9), 0), (0.5, 0, 0))
 
-    @given(paravectors(), real_vectors(min_norm=0.3), real_vectors(min_norm=0.3))
-    def test_equals_sequential_mirrors(self, g, w1, w2):
-        cross = np.cross(np.asarray(w1), np.asarray(w2))
-        dot = float(np.dot(w1, w2))
-        if dot * dot + float(cross.dot(cross)) < 1e-3:
-            return
-        axis = compose_mirrors(w1, w2)
-        sequential = mirror(mirror(g, w1), w2)
-        assert approx_eq(rotate(g, axis, LEFT), sequential, Tolerance(1e-7, 1e-7))
-
 
 class TestAxialSymmetry:
     def test_half_turn_about_z(self):
@@ -368,14 +322,6 @@ class TestAxialSymmetry:
     def test_preserves_the_scalar(self):
         g = Paravector(3 + 4j, (1, 1j, 0))
         assert axial_symmetry(g, (1, 0, 0)).s == pytest.approx(g.s)
-
-    @given(paravectors(), real_vectors(min_norm=0.3))
-    def test_equals_a_straight_angle_rotation(self, g, w):
-        nw = math.sqrt(sum(x * x for x in w))
-        axis = RotationAxis(
-            Paravector(0, tuple(1j * x / nw for x in w))
-        )
-        assert approx_eq(axial_symmetry(g, w), rotate(g, axis, LEFT), TOL8)
 
 
 def _outcome(call, *args):
@@ -429,20 +375,3 @@ class TestOrthogonalTransform:
 
     def test_normalization_makes_it_orthogonal(self):
         assert is_orthogonal_transform(Paravector(2, (1, 0, 0)).normalize())
-
-    @given(paravectors(), paravectors(), proper_paravectors())
-    def test_right_action_preserves_the_integrated_product(self, a, b, f):
-        from paravec import integrated
-
-        lam = f.normalize()
-        lhs = integrated(a * lam, b * lam, RIGHT)
-        assert approx_eq(lhs, integrated(a, b, RIGHT), Tolerance(1e-7, 1e-7))
-
-    @given(real_vectors(min_norm=0.3), proper_paravectors())
-    def test_sphere_stays_on_the_sphere(self, x, f):
-        lam = f.normalize()
-        r = math.sqrt(sum(c * c for c in x))
-        sphere = Paravector(r, x)
-        image = lam * sphere
-        scale = max(1.0, max(abs(z) for z in (image.s,) + image.v))
-        assert abs(image.det()) <= 1e-8 * scale * scale
