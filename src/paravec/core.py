@@ -531,6 +531,10 @@ def _deviation(a, b):
 
 
 def approx_eq(a, b, tol=DEFAULT_TOL):
-    """Componentwise closeness, scaled by the largest component of either side."""
+    """Componentwise closeness, scaled by the largest component of either side;
+    a deviation within ``tol.abs`` holds unscaled, as no finite scale lowers it."""
+    error = _deviation(a, b)
+    if error <= tol.abs:
+        return True
     sa, sb = _pv_scale(a), _pv_scale(b)
-    return _deviation(a, b) <= tol.linear(sa if sa > sb else sb)
+    return error <= tol.linear(sa if sa > sb else sb)

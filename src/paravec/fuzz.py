@@ -35,8 +35,8 @@ pack families it takes, named by its parameters and followed by ``tol``, as
 in ``lambda a, b, tol: (a + b, b + a)``; the registry reads those names once.
 A law returns or yields claims, which ``_holds`` asserts in order; ``_near``
 gives a law a verdict to combine.  Both take the verdict of ``_weigh``, the one
-place that sets an error against a threshold; an error within ``tol.abs`` holds
-there before any scale is computed.
+place that judges a claim: by the library's own ``approx_eq`` for paravectors
+and matrices, else by an error against a threshold, whose scale a claim may give.
 
 Mutation self-test
 ------------------
@@ -64,7 +64,6 @@ from .core import (
     ZERO,
     Paravector,
     Tolerance,
-    _deviation,
     _make,
     _pv_scale,
     _scale,
@@ -419,40 +418,36 @@ def make_pack(seed, index):
 
 
 def _weigh(tol, x, y, scale=None):
-    """Whether ``x`` equals ``y`` to ``tol``: the error against ``tol.linear(scale)``.
+    """Whether ``x`` equals ``y`` to ``tol``.
 
-    The error is the largest modulus of a componentwise difference.  Unless the
-    claim gives it, the scale is the largest real or imaginary part of either
-    side for paravectors and matrices, and the largest modulus for numbers and
-    vectors.  An error within ``tol.abs`` holds unscaled, as ``tol.abs <=
+    Paravectors and matrices take ``approx_eq``'s verdict and no scale (giving one
+    raises ``TypeError``).  Numbers and vectors of equal length agree when the
+    largest modulus of a componentwise difference is within ``tol.linear(scale)``;
+    unless the claim gives it, the scale is the largest modulus of either side.  As in
+    ``approx_eq``, an error within ``tol.abs`` holds unscaled, as ``tol.abs <=
     tol.linear(s)`` for any finite ``s >= 0``.  So the verdict differs from
     ``error <= tol.linear(scale)`` only for a NaN scale, an infinite one with
     ``tol.rel == 0`` (``0 * inf`` is NaN), or complex sides whose modulus
     overflows (``abs`` raises); fuzz operands reach none of these.
     """
-    if type(x) is Paravector:
-        error = _deviation(x, y)
-        if error <= tol.abs:
-            return True
-        if scale is None:
-            sx, sy = _pv_scale(x), _pv_scale(y)
-            scale = sx if sx > sy else sy
-    elif type(x) is complex or type(x) is float:
+    if type(x) is complex or type(x) is float:
         error = abs(x - y)
         if error <= tol.abs:
             return True
         if scale is None:
             scale = max(abs(x), abs(y))
-    else:
-        matrix = type(x) is not tuple
-        if matrix:
-            x, y = sum(x.rows, ()), sum(y.rows, ())
+    elif type(x) is tuple:
+        if len(x) != len(y):  # zip would weigh only the common prefix
+            return False
         error = max(map(abs, map(sub, x, y)))
         if error <= tol.abs:
             return True
         if scale is None:
-            scale = (matrices._rows_scale(x, y) if matrix
-                     else max(max(map(abs, x)), max(map(abs, y))))
+            scale = max(max(map(abs, x)), max(map(abs, y)))
+    elif scale is None:
+        return core.approx_eq(x, y, tol) if type(x) is Paravector else x.approx_eq(y, tol)
+    else:
+        raise TypeError(f"a {type(x).__name__} claim takes no scale: approx_eq weighs it")
     return error <= tol.linear(scale)
 
 

@@ -120,14 +120,14 @@ class _SquareMatrix(_Value):
         return self._trusted(self._inverse(self.rows))
 
     def approx_eq(self, other, tol=DEFAULT_TOL):
+        """Entrywise closeness, as ``core.approx_eq``: the largest entry deviation
+        within ``tol.abs`` unscaled, else within ``tol.linear`` of the largest part."""
         if type(other) is not type(self):  # as for ==, another size is never close
             return False
-        thr = tol.linear(_rows_scale(*self.rows, *other.rows))
-        for ra, rb in zip(self.rows, other.rows):
-            for a, b in zip(ra, rb):
-                if not abs(a - b) <= thr:
-                    return False
-        return True
+        error = max([abs(a - b) for a, b in zip(sum(self.rows, ()), sum(other.rows, ()))])
+        if error <= tol.abs:
+            return True
+        return error <= tol.linear(_rows_scale(*self.rows, *other.rows))
 
     def __str__(self):
         return format_matrix(self.rows)

@@ -413,12 +413,17 @@ _JUDGE_TOLERANCES = [Tolerance(1e-9, 1e-9), Tolerance(0.0, 0.0), Tolerance(1e-3,
                      Tolerance(0.0, 1e-9)]
 
 
+# the kinds that approx_eq judges take no scale
+_UNSCALED_KINDS = {"paravector", "matrix2", "matrix4"}
+
+
 def _judge_corpus(seed=25, bases=6):
     """``(tol, x, y, scale)`` claims whose error lands at, just below and just above
     ``tol.abs`` and the threshold, or is infinite or NaN, and pairs of sides that
     differ only in signed zeros."""
     rng = random.Random(seed)
     for kind, (n, build) in _SIDE_KINDS.items():
+        scales = (None,) if kind in _UNSCALED_KINDS else (None, 0.0, 1.0, 3.7, 1e6)
         for _ in range(bases):
             parts = [0.0 if rng.random() < 0.25 else rng.uniform(-2.0, 2.0) for _ in range(n)]
             moved = rng.randrange(n)  # moving a zero part by d makes the error |d| exactly
@@ -426,7 +431,7 @@ def _judge_corpus(seed=25, bases=6):
             x = build(parts)
             flipped = build([-0.0 if part == 0.0 else part for part in parts])
             for tol in _JUDGE_TOLERANCES:
-                for scale in (None, 0.0, 1.0, 3.7, 1e6):
+                for scale in scales:
                     yield tol, x, flipped, scale
                     yield tol, flipped, x, scale
                     _, threshold = _weigh_with_scale(tol, x, x, scale)
@@ -464,6 +469,48 @@ def test_the_judge_gives_the_verdict_of_the_scaled_threshold():
     assert len(corpus) > 5000
     assert {("at abs", False, True), ("at threshold", True, True), ("other", True, True),
             ("other", False, False)} <= seen
+
+
+def test_vectors_of_unequal_length_are_never_equal():
+    # zip would weigh only the common prefix, and pass a dropped component
+    assert not _near((1.0, 2.0), (1.0, 2.0, 3.0), DEFAULT_TOL)
+    assert not _near((1.0, 2.0, 3.0), (1.0, 2.0), DEFAULT_TOL)
+
+
+def test_matrices_of_another_size_are_never_close():
+    identity4, corner2 = matrices.Matrix4.identity(), matrices.Matrix2(((1, 0), (0, 0)))
+    assert not _near(identity4, corner2, DEFAULT_TOL)
+    assert not _near(corner2, identity4, DEFAULT_TOL)
+
+
+def _approx_eq_of_the_sum(self, other, tol=DEFAULT_TOL):
+    """``_SquareMatrix.approx_eq`` with the entry difference turned into a sum."""
+    if type(other) is not type(self):
+        return False
+    error = max([abs(a + b) for a, b in zip(sum(self.rows, ()), sum(other.rows, ()))])
+    return error <= tol.linear(matrices._rows_scale(*self.rows, *other.rows))
+
+
+def test_the_judge_runs_the_matrices_own_approx_eq(monkeypatch):
+    assert not any(r.fails for r in run_fuzz(42, 5, suites=["matrix"]).properties)
+    monkeypatch.setattr(matrices._SquareMatrix, "approx_eq", _approx_eq_of_the_sum)
+    assert any(r.fails for r in run_fuzz(42, 5, suites=["matrix"]).properties)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        lambda a, tol: (a, a, 1.0),
+        lambda a, tol: (matrices.to_matrix4(a), matrices.to_matrix4(a), 1.0),
+    ],
+    ids=["paravector", "matrix4"],
+)
+def test_a_scale_given_to_an_approx_eq_claim_fails_its_property(monkeypatch, law):
+    prop = fuzz.Property("ring", "scaled", "ring/scaled", law, ("a",), lambda pack: (pack.a,))
+    monkeypatch.setattr(fuzz, "_PROPS", [prop])
+    (result,) = run_fuzz(42, 3).properties
+    assert result.fails == 3
+    assert result.counterexample["error"].startswith("TypeError(")
 
 
 def test_the_judge_differs_from_the_scaled_threshold_only_where_its_docstring_says():
