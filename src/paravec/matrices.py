@@ -124,7 +124,10 @@ class _SquareMatrix(_Value):
         within ``tol.abs`` unscaled, else within ``tol.linear`` of the largest part."""
         if type(other) is not type(self):  # as for ==, another size is never close
             return False
-        error = max([abs(a - b) for a, b in zip(sum(self.rows, ()), sum(other.rows, ()))])
+        try:
+            error = max([abs(a - b) for a, b in zip(sum(self.rows, ()), sum(other.rows, ()))])
+        except OverflowError:  # a modulus beyond the float range is larger than any threshold
+            return False
         if error <= tol.abs:
             return True
         return error <= tol.linear(_rows_scale(*self.rows, *other.rows))

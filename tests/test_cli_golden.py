@@ -7,6 +7,10 @@ Help pages and argparse usage errors are laid out differently across
 Python versions, so for those only the exit code, the ``usage:`` line
 (whitespace collapsed) and the set of argument help strings are compared.
 
+This is the one example test of ``pv``: every subcommand runs in a case that
+is not a help page, every exit code (0, 1, 2, 3) shows, and a call pinned here
+is not restated in ``test_wire_cli.py``.  Add a case here, not a test there.
+
 Regenerate (only when a transcript change is intended) with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from paravec.cli import main
+from paravec.cli import _COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -37,12 +41,10 @@ G = "[5,0,1,2,3,0.5,0,0]"
 SINGULAR = "[1,0,1,0,0,0,0,0]"
 ALMOST = "[1,0,1e-03,0,0,0,0,0]"
 QUARTER = "[0,0,1,0.7853981633974483]"
+BACK = "[0,0,1,-0.7853981633974483]"
 TILTED = "[1,1,0,0.5]"
-COMMANDS = (
-    "add", "mul", "rev", "conj", "vig", "det", "inv", "module", "normalize",
-    "classify", "sprod", "vprod", "angle", "compose-angle", "rotate", "mirror",
-    "axial", "euler", "matrep", "pauli", "fuzz",
-)
+BIG = "[1e200,0,0,0,0,0,0,0]"
+COMMANDS = (*_COMMANDS, "fuzz")
 
 # (case id, argv, stdin or None)
 CASES = [
@@ -77,6 +79,7 @@ CASES = [
     ("axial", ["axial", G, "[0,0,1]"], None),
     ("euler", ["euler", QUARTER, TILTED], None),
     ("euler-json", ["euler", "--json", QUARTER, TILTED], None),
+    ("euler-identity-json", ["euler", "--json", QUARTER, BACK], None),
     ("matrep", ["matrep", G], None),
     ("matrep-json", ["matrep", "--json", G], None),
     ("pauli", ["pauli", G], None),
@@ -92,6 +95,7 @@ CASES = [
     ("tol-after", ["classify", "--tol", "1e-4", "--json", ALMOST], None),
     ("tol-negative", ["--tol", "-1", "det", P1], None),
     ("tol-nan", ["--tol", "nan", "det", P1], None),
+    ("tol-inf", ["--tol", "inf", "det", P1], None),
     # domain (1) and parse (2) errors for each operand kind
     ("paravector-exit1", ["inv", SINGULAR], None),
     ("paravector-exit2-arity", ["det", "[1,0,0]"], None),
@@ -103,12 +107,15 @@ CASES = [
     ("angle-exit1", ["angle", SINGULAR, PROPER1], None),
     ("compose-angle-exit1", ["compose-angle", PROPER1, UNIT1], None),
     ("vector-exit1-overflow", ["mirror", "[1,0,0,0,0,0,0,0]", "[1e200,0,0]"], None),
+    ("module-exit1", ["module", "[1,0,2,0,0,0,0,0]"], None),
+    ("sprod-exit1-overflow", ["sprod", BIG, BIG], None),
     # argparse usage errors
     ("unknown-command", ["frobnicate", P1], None),
     ("missing-operand", ["det"], None),
     ("both-orientations", ["vprod", "--left", "--right", P1, P2], None),
     ("bad-tol", ["--tol", "x", "det", P1], None),
     # the fuzz campaign
+    ("fuzz-text", ["fuzz", "--seed", "3", "--trials", "2"], None),
     ("fuzz-json", ["fuzz", "--seed", "3", "--trials", "2", "--json"], None),
     ("fuzz-mutant", ["fuzz", "--seed", "7", "--trials", "2", "--mutant", "rev-sign"], None),
     ("fuzz-trials-0", ["fuzz", "--trials", "0"], None),
@@ -194,6 +201,10 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert list(golden) == [case_id for case_id, _, _ in CASES]
+    # every subcommand runs outside a help page, and every exit code shows
+    runs = [record for record in golden.values() if "-h" not in record["argv"]]
+    assert {arg for record in runs for arg in record["argv"] if arg in COMMANDS} == set(COMMANDS)
+    assert {record["code"] for record in golden.values()} == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("case_id, argv, stdin", CASES, ids=[c[0] for c in CASES])

@@ -113,7 +113,8 @@ class TestSingularParallel:
 
 # Each predicate tests a bilinear quantity against abs + rel * scale_a * scale_b,
 # scale being an operand's largest absolute real component.  A Euclidean-norm
-# threshold would accept every "off" pair below.
+# threshold would accept every "off" pair below.  Spread by k = 2**10, a pair
+# keeps its quantity and threshold bit for bit; scale_a + scale_b would not.
 @pytest.mark.parametrize(
     "predicate, pair, on, off",
     [
@@ -129,8 +130,11 @@ class TestSingularParallel:
     ids=["perpendicular", "parallel", "spatially-parallel", "singularly-parallel"],
 )
 def test_bilinear_predicates_scale_by_largest_components(predicate, pair, on, off):
-    assert predicate(*pair(on))
-    assert not predicate(*pair(off))
+    for k in (1, 2**10):
+        a, b = pair(on)
+        assert predicate(a * k, b / k), k
+        a, b = pair(off)
+        assert not predicate(a * k, b / k), k
 
 
 class TestAngle:

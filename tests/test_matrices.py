@@ -161,6 +161,13 @@ class TestMatrixArithmetic:
         m = Matrix2.identity()
         assert str(m) == format_matrix(m.rows)
 
+    @pytest.mark.parametrize("cls", [Matrix2, Matrix4], ids=["Matrix2", "Matrix4"])
+    def test_a_difference_beyond_the_float_range_is_not_close(self, cls):
+        # as in core.approx_eq, a modulus past the float range is larger than any threshold
+        big = _perturbed(cls.identity(), 0, 0, complex(1.5e308, 1.5e308))
+        assert not big.approx_eq(cls.identity())
+        assert not cls.identity().approx_eq(big)
+
     def test_matrices_of_different_sizes_are_not_close(self):
         # as with ==, a matrix is never close to one of another type
         assert not Matrix4.identity().approx_eq(Matrix2.identity())

@@ -303,6 +303,14 @@ class TestComposeMirrors:
         with pytest.raises(DegenerateComposition):
             compose_mirrors((1, 1j * (1 - 1.5e-9), 0), (0.5, 0, 0))
 
+    def test_the_threshold_scales_by_the_product_of_the_normal_scales(self):
+        # scales 1e3 and 0.5e-3: det = 5e-9 passes the product's threshold of
+        # 1.25e-9, and det = 5e-10 does not; their sum would reject both
+        w2 = (0.5e-3, 0, 0)
+        compose_mirrors((1e3, 1e3j * (1 - 1e-8), 0), w2)
+        with pytest.raises(DegenerateComposition):
+            compose_mirrors((1e3, 1e3j * (1 - 1e-9), 0), w2)
+
 
 class TestAxialSymmetry:
     def test_half_turn_about_z(self):

@@ -1,4 +1,6 @@
-"""Wire format round-trips and the command line contract."""
+"""Wire format round-trips, and the ``pv`` checks that ``test_cli_golden.py``,
+the one example test of ``pv``, cannot hold: operands too large for its file,
+``PV_TOL`` (its harness drops it) and a documented exit code for every call."""
 
 import contextlib
 import io
@@ -198,25 +200,6 @@ def test_a_byte_order_mark_is_refused_in_text_as_json_loads_refuses_it():
 
 
 class TestCliBasics:
-    def test_det_example(self, capsys):
-        code = main(["det", "[1,1,1,0,0,0,0,0]"])
-        out = capsys.readouterr()
-        assert code == 0
-        assert json.loads(out.out) == [-1.0, 2.0]
-        assert out.err == ""
-
-    def test_singular_inverse_is_a_domain_error(self, capsys):
-        code = main(["inv", "[1,0,1,0,0,0,0,0]"])
-        out = capsys.readouterr()
-        assert code == 1
-        assert out.out == ""
-        assert "singular" in out.err
-
-    def test_parse_errors_are_usage_errors(self, capsys):
-        assert main(["det", "[1,0,0]"]) == 2
-        assert main(["det", "nonsense"]) == 2
-        capsys.readouterr()
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -231,147 +214,8 @@ class TestCliBasics:
         assert main(["det", text]) == 2
         assert capsys.readouterr().err.startswith("pv: ")
 
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate", "[1,0,0,0,0,0,0,0]"]) == 2
-        capsys.readouterr()
 
-    def test_add_mul_rev_conj_vig(self, capsys):
-        assert main(["add", "[1,0,1,0,0,0,0,0]", "[2,0,0,0,0,0,1,0,0]"]) == 2
-        capsys.readouterr()
-        assert main(["add", "[1,0,1,0,0,0,0,0]", "[2,0,0,1,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [3, 0, 1, 1, 0, 0, 0, 0]
-        assert main(["mul", "[1,0,1,0,0,0,0,0]", "[0,0,0,1,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [0, 0, 0, 1, 0, 0, 0, 1]
-        assert main(["rev", "[1,0,1,2,3,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [1, 0, -1, -2, -3, 0, 0, 0]
-        assert main(["conj", "[1,1,1,0,0,1,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [1, -1, 1, 0, 0, -1, 0, 0]
-        assert main(["vig", "[1,0,1,0,0,0,1,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [3, 0, 2, 0, 2, 0, 0, 0]
-
-    def test_module_and_normalize(self, capsys):
-        assert main(["module", "[2,0,1,0,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == pytest.approx(math.sqrt(3))
-        assert main(["module", "[1,0,2,0,0,0,0,0]"]) == 1
-        capsys.readouterr()
-        assert main(["normalize", "[2,0,1,0,0,0,0,0]"]) == 0
-        got = json.loads(capsys.readouterr().out)
-        r = math.sqrt(3)
-        assert got == pytest.approx([2 / r, 0, 1 / r, 0, 0, 0, 0, 0])
-
-    def test_classify_text_and_json(self, capsys):
-        assert main(["classify", "[1,0,1,0,0,0,0,0]"]) == 0
-        text = capsys.readouterr().out
-        assert "singular: true" in text and "proper: false" in text
-        assert main(["classify", "--json", "[1,0,1,0,0,0,0,0]"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["singular"] is True
-        assert payload["det"] == [0.0, 0.0]
-
-    def test_sprod_overflow_is_a_domain_error(self, capsys):
-        big = "[1e200,0,0,0,0,0,0,0]"
-        assert main(["sprod", big, big]) == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err.startswith("pv: ")
-
-    def test_sprod_and_vprod(self, capsys):
-        assert main(["sprod", "[1,0,1,0,0,0,0,0]", "[1,0,0,1,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [1.0, 0.0]
-        assert main(["vprod", "[1,0,1,0,0,0,0,0]", "[1,0,0,1,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [1, -1, 0, 0, 0, -1]
-        assert main(["vprod", "--left", "[1,0,1,0,0,0,0,0]", "[1,0,0,1,0,0,0,0]"]) == 0
-        assert json.loads(capsys.readouterr().out) == [-1, 1, 0, 0, 0, -1]
-
-
-class TestCliGeometry:
-    def test_angle(self, capsys):
-        assert main(["angle", "[2,0,1,0,0,0,0,0]", "[2,0,0,1,0,0,0,0]"]) == 0
-        got = json.loads(capsys.readouterr().out)
-        assert got[0] == pytest.approx(4 / 3)
-
-    def test_angle_improper_is_domain_error(self, capsys):
-        assert main(["angle", "[1,0,1,0,0,0,0,0]", "[1,0,0,0,0,0,0,0]"]) == 1
-        capsys.readouterr()
-
-    def test_compose_angle_checks_unit_determinant(self, capsys):
-        assert main(["compose-angle", "[2,0,0,0,0,0,0,0]", "[1,0,0,0,0,0,0,0]"]) == 1
-        capsys.readouterr()
-        assert main(["compose-angle", "[1,0,0,0,0,0,0,0]", "[1,0,0,0,0,0,0,0]"]) == 0
-        capsys.readouterr()
-
-    def test_rotate(self, capsys):
-        c = math.cos(math.pi / 4)
-        axis = json.dumps([c, 0, 0, 0, 0, 0, 0, math.sin(math.pi / 4)])
-        assert main(["rotate", "[0,0,1,0,0,0,0,0]", axis]) == 0
-        got = json.loads(capsys.readouterr().out)
-        assert got == pytest.approx([0, 0, 0, 1, 0, 0, 0, 0], abs=1e-12)
-
-    def test_mirror_and_axial(self, capsys):
-        assert main(["mirror", "[0,0,0,0,0,1,2,3]", "[0,0,0,0,0,1]"]) == 0
-        assert json.loads(capsys.readouterr().out) == pytest.approx(
-            [0, 0, 0, 0, 0, 1, 2, -3]
-        )
-        assert main(["axial", "[5,0,1,2,3,0,0,0]", "[0,0,1]"]) == 0
-        assert json.loads(capsys.readouterr().out) == pytest.approx(
-            [5, 0, -1, -2, 3, 0, 0, 0]
-        )
-        assert main(["mirror", "[1,0,0,0,0,0,0,0]", "[1,0,0,0,1,0]"]) == 1
-        capsys.readouterr()
-
-    def test_euler(self, capsys):
-        quarter = json.dumps([0, 0, 1, math.pi / 4])
-        assert main(["euler", quarter, quarter]) == 0
-        got = json.loads(capsys.readouterr().out)
-        assert got == pytest.approx([0, 0, 1, math.pi / 2])
-        assert main(["euler", "--json", quarter, json.dumps([0, 0, 1, -math.pi / 4])]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["axis_defined"] is False and payload["phi"] == 0.0
-
-    def test_matrep_and_pauli(self, capsys):
-        assert main(["matrep", "[1,0,0,0,0,0,0,0]"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-        assert main(["matrep", "--json", "[0,0,1,0,0,0,0,0]"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload[0][1] == [1.0, 0.0]
-        assert main(["pauli", "--json", "[0,0,1,0,0,0,0,0]"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
-
-
-class TestCliStdin:
-    def test_dash_reads_the_operand_from_stdin(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO("[2,0,1,0,0,0,0,0]\n"))
-        assert main(["det", "-"]) == 0
-        assert json.loads(capsys.readouterr().out) == [3.0, 0.0]
-
-    def test_empty_stdin_is_a_parse_error(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
-        assert main(["det", "-"]) == 2
-        capsys.readouterr()
-
-
-class TestCliTolerance:
-    def test_tol_flag_loosens_classification(self, capsys):
-        almost = "[1,0,1e-03,0,0,0,0,0]"
-        assert main(["classify", "--json", almost]) == 0
-        strict = json.loads(capsys.readouterr().out)
-        assert strict["orthogonal"] is False
-        assert main(["--tol", "1e-4", "classify", "--json", almost]) == 0
-        loose = json.loads(capsys.readouterr().out)
-        assert loose["orthogonal"] is True
-
-    def test_tol_flag_works_after_the_subcommand(self, capsys):
-        almost = "[1,0,1e-03,0,0,0,0,0]"
-        assert main(["classify", "--tol", "1e-4", "--json", almost]) == 0
-        loose = json.loads(capsys.readouterr().out)
-        assert loose["orthogonal"] is True
-
+class TestCliTolerance:  # the golden transcript pins the --tol flag
     def test_env_var_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("PV_TOL", "1e-4")
         almost = "[1,0,1e-03,0,0,0,0,0]"
@@ -384,41 +228,11 @@ class TestCliTolerance:
         assert main(["det", "[1,0,0,0,0,0,0,0]"]) == 2
         capsys.readouterr()
 
-    def test_negative_tol_is_a_usage_error(self, capsys):
-        assert main(["--tol", "-1", "det", "[1,0,0,0,0,0,0,0]"]) == 2
-        capsys.readouterr()
-
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tol_is_a_usage_error(self, capsys, monkeypatch, value):
-        assert main(["--tol", value, "det", "[1,0,0,0,0,0,0,0]"]) == 2
-        assert "finite" in capsys.readouterr().err
         monkeypatch.setenv("PV_TOL", value)
         assert main(["det", "[1,0,0,0,0,0,0,0]"]) == 2
         assert "finite" in capsys.readouterr().err
-
-
-class TestCliFuzz:
-    def test_small_clean_run(self, capsys):
-        assert main(["fuzz", "--seed", "7", "--trials", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "all" in out and "passed" in out
-
-    def test_zero_trials_is_a_usage_error(self, capsys):
-        assert main(["fuzz", "--trials", "0"]) == 2
-        capsys.readouterr()
-
-    def test_deterministic_output(self, capsys):
-        assert main(["fuzz", "--seed", "3", "--trials", "20", "--json"]) == 0
-        first = capsys.readouterr().out
-        assert main(["fuzz", "--seed", "3", "--trials", "20", "--json"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
-    def test_mutant_run_exits_three(self, capsys):
-        code = main(["fuzz", "--seed", "7", "--trials", "40", "--mutant", "mul-drop-cross"])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert "FAIL" in out
 
 
 _EDGE_NUMBERS = [0, -0.0, 5e-324, 1e-160, 1e154, 1e308, -1e308]
