@@ -23,7 +23,6 @@ from .errors import ImproperParavector, SingularParavector, ValidationError
 
 _NUMBER_TYPES = (int, float, complex)
 _COMPONENTS = "paravector components"
-_INF = math.inf
 
 
 def _as_complex(z, what="numbers"):
@@ -256,13 +255,16 @@ class Paravector(_Value):
         d, sc, singular, _ = _det_verdict(self, tol)
         if singular:
             raise SingularParavector("singular paravector has no inverse")
-        if sc > 2.0**256:
+        if not 2.0**-256 <= sc <= 2.0**256:
             # a part of 1/d could leave the normal range: invert q = 2**e self,
             # with scale in [1/2, 1), and scale 1/det(q) by 2**e to undo it
             e = -math.frexp(sc)[1]
             v = self.v
             q = _make(_ldexp(self.s, e), (_ldexp(v[0], e), _ldexp(v[1], e), _ldexp(v[2], e)))
-            return _scale(q.rev(), _ldexp(1.0 / q.det(), e))
+            d = q.det()
+            if not d:  # d rounded to a nonzero subnormal, but q is singular
+                raise SingularParavector("singular paravector has no inverse")
+            return _scale(q.rev(), _ldexp(1.0 / d, e))
         return _scale(self.rev(), 1.0 / d)
 
     def module(self, tol=DEFAULT_TOL):
@@ -484,30 +486,32 @@ def _pv_scale(p):
     return m
 
 
+def _rows_scale(*rows):
+    """Largest ``|Re|`` or ``|Im|`` over rows of entries already known finite: the
+    one such loop, behind ``component_scale``, the matrices and ``is_spatially_parallel``."""
+    m = 0.0
+    for row in rows:
+        for z in row:
+            x = abs(z.real)
+            if x > m:
+                m = x
+            x = abs(z.imag)
+            if x > m:
+                m = x
+    return m
+
+
 def component_scale(*items):
     """Largest absolute real component among paravectors, vectors and finite numbers."""
     m = 0.0
     for item in items:
         if isinstance(item, Paravector):
             x = _pv_scale(item)
-            if x > m:
-                m = x
-            continue
-        if isinstance(item, (tuple, list)):
-            values = item
         else:
-            values = (item,)
-        for z in values:
-            if type(z) is not complex:
-                z = _as_complex(z, "components")
-            r = abs(z.real)
-            i = abs(z.imag)
-            if not (r < _INF and i < _INF):  # complex entries skip _as_complex
-                raise ValidationError("components must be finite")
-            if r > m:
-                m = r
-            if i > m:
-                m = i
+            values = item if isinstance(item, (tuple, list)) else (item,)
+            x = _rows_scale([_as_complex(z, "components") for z in values])
+        if x > m:
+            m = x
     return m
 
 
@@ -526,7 +530,7 @@ def _deviation(a, b):
         if x > m:
             m = x
     except OverflowError:  # a modulus beyond the float range is larger than any threshold
-        return _INF
+        return math.inf
     return m
 
 

@@ -487,17 +487,8 @@ class Property(_Value):
 
     __match_args__ = __slots__ = ("suite", "name", "full_name", "law", "operands", "fetch")
 
-    def __reduce__(self):
-        # the law is often a lambda, and does not pickle by reference
-        return _registered, (self.full_name,)
-
 
 _PROPS = []
-
-
-def _registered(full_name):
-    """The registered property named ``full_name``; unpickling returns it."""
-    return next(p for p in _PROPS if p.full_name == full_name)
 
 
 def _operands(law):

@@ -24,9 +24,9 @@ from .core import (
     _det_verdict,
     _deviation,
     _pv_scale,
+    _rows_scale,
     _scale,
     _Value,
-    component_scale,
     is_orthogonal_transform,
     vcross,
     vnorm,
@@ -101,7 +101,7 @@ def is_perpendicular(a, b, tol=DEFAULT_TOL):
 def is_spatially_parallel(a, b, tol=DEFAULT_TOL):
     """True when the cross product of the vector parts vanishes."""
     c = vcross(a.v, b.v)
-    return vnorm(c) <= tol.linear(component_scale(a.v) * component_scale(b.v))
+    return vnorm(c) <= tol.linear(_rows_scale(a.v) * _rows_scale(b.v))
 
 
 def is_singularly_parallel(a, b, tol=DEFAULT_TOL):

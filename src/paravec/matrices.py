@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 from operator import add
 
-from .core import DEFAULT_TOL, Paravector, _as_complex, _Value, format_complex
+from .core import DEFAULT_TOL, Paravector, _as_complex, _rows_scale, _Value, format_complex
 from .errors import NotAParavectorMatrix, ValidationError
 
 
@@ -33,22 +33,6 @@ def _check_rows(rows, n):
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValidationError(f"expected a {n}x{n} matrix")
     return rows
-
-
-def _rows_scale(*rows):
-    """Largest ``|Re|`` or ``|Im|`` over rows of entries already known finite.
-
-    ``component_scale`` of the same entries, without checking them again."""
-    m = 0.0
-    for row in rows:
-        for z in row:
-            x = abs(z.real)
-            if x > m:
-                m = x
-            x = abs(z.imag)
-            if x > m:
-                m = x
-    return m
 
 
 _IDENTITY_ROWS = {

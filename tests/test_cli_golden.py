@@ -6,6 +6,8 @@ compared byte for byte, and stderr exactly for ``pv: ...`` diagnostics.
 Help pages and argparse usage errors are laid out differently across
 Python versions, so for those only the exit code, the ``usage:`` line
 (whitespace collapsed) and the set of argument help strings are compared.
+Four cases also run as a fresh ``python -m paravec`` process, whose exit
+status, stdout and stderr must equal the golden entry exactly.
 
 This is the one example test of ``pv``: every subcommand runs in a case that
 is not a help page, every exit code (0, 1, 2, 3) shows, and a call pinned here
@@ -21,6 +23,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -212,6 +215,17 @@ def test_transcript_matches_golden(golden, case_id, argv, stdin):
     expected = dict(golden[case_id])
     assert expected.pop("argv") == argv and expected.pop("stdin", None) == stdin
     assert normalize(transcript(argv, stdin)) == expected
+
+
+@pytest.mark.parametrize("case_id", ["det", "mirror-3", "euler", "vector-exit2"])
+def test_a_pv_process_matches_golden(golden, case_id):
+    expected = golden[case_id]
+    env = {k: v for k, v in os.environ.items() if k != "PV_TOL"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    got = subprocess.run([sys.executable, "-m", "paravec", *expected["argv"]],
+                         env=env, capture_output=True, text=True)
+    assert (got.returncode, got.stdout, got.stderr) == (
+        expected["code"], expected["stdout"], expected["stderr"])
 
 
 def _write_golden():

@@ -61,27 +61,11 @@ class TestConstruction:
         assert p.s == 1 + 0j
         assert p.v == (1 + 0j, 0j, 0j)
 
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValidationError):
-            Paravector(float("nan"), (0, 0, 0))
-        with pytest.raises(ValidationError):
-            Paravector(0, (0, complex(0, float("inf")), 0))
-
-    def test_rejects_wrong_vector_arity(self):
-        with pytest.raises(ValidationError):
-            Paravector(0, (1, 2))
-        with pytest.raises(ValidationError):
-            Paravector(0, (1, 2, 3, 4))
-
     def test_equality_is_exact_and_hashable(self):
         a = pv(1 + 2j, (3, 4j, 5))
         b = pv(1 + 2j, (3, 4j, 5))
         assert a == b and hash(a) == hash(b)
         assert a != pv(1 + 2j, (3, 4j, 5 + 1e-12))
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValidationError):
-            Tolerance(-1.0, 0.0)
 
     def test_str_is_compact(self):
         assert str(pv(1 + 1j, (1, 0, 0))) == "{1+1i | (1, 0, 0)}"
@@ -262,23 +246,35 @@ class TestInverse:
         assert approx_eq(inv * g, ONE, Tolerance(1e-7, 1e-7))
         assert approx_eq(g * inv, ONE, Tolerance(1e-7, 1e-7))
 
-    @given(moderate_paravectors, st.integers(0, 600))
+    @given(moderate_paravectors, st.integers(-600, 600))
     # scaled to 2**508, 1/d had a subnormal part and lost its last bits
     @example(Paravector(0.25j, (-0.75 + 0.25j, 1.5 - 1.25j, 0.75 - 1.25j)), 508)
     # scaled to 2**509, multiplying by a float power of two turned a -0 part into 0
     @example(Paravector(1 - 0.5j, (0.75 + 0.5j, complex(-0.0, 0.0), 1 - 1.5j)), 509)
+    # d is subnormal, and 1/d overflowed
+    @example(Paravector(1e-155, (3e-156, 0, 0)), 0)
     def test_a_power_of_two_times_a_paravector_inverts_bit_for_bit_alike(self, g, k):
+        tol = Tolerance(0.0, 1e-9)  # DEFAULT_TOL's abs floor makes every k < -15 singular
         try:
-            want = g.inverse()
+            want = g.inverse(tol)
         except SingularParavector:
             assume(False)
         try:
-            got = _times_two_to(g, k).inverse()
+            got = _times_two_to(g, k).inverse(tol)
+        except SingularParavector:
+            assert k < -530  # the determinant of 2**k g underflows to 0
+            return
         except ValidationError as err:
             # 2**k g squares past the float range
             assert "determinant overflows" in str(err) and k > 500
             return
         assert repr(_times_two_to(got, k)) == repr(want)
+
+    def test_a_determinant_rounded_to_a_subnormal_is_not_inverted(self):
+        h = Paravector(0.6438743077030352, (0.6082996985653066, 0.21105828779135866, 0))
+        g = _times_two_to(h, -522)  # det(h) is exactly 0, det(g) rounds to -5e-324
+        with pytest.raises(SingularParavector):
+            g.inverse(Tolerance(0.0, 0.0))
 
 
 class TestModule:

@@ -143,14 +143,6 @@ class TestMatrixArithmetic:
         with pytest.raises(ValueError):
             to_matrix4(Paravector(1, (1, 0, 0))).inverse()
 
-    def test_rejects_non_finite_entries(self):
-        with pytest.raises(ValidationError):
-            Matrix2(((float("inf"), 0), (0, 1)))
-
-    def test_rejects_wrong_shapes(self):
-        with pytest.raises(ValidationError):
-            Matrix4(((1, 2), (3, 4)))
-
     def test_matrices_of_different_sizes_do_not_combine(self):
         with pytest.raises(TypeError):
             Matrix4.identity() + Matrix2.identity()
@@ -248,38 +240,6 @@ class TestTrustedResults:
         got = to_matrix4(Paravector(a, (x, y, z)))
         assert got == Matrix4(rows)
         assert repr(got.rows) == repr(Matrix4(rows).rows)
-
-    def test_product_is_the_row_by_column_sum(self):
-        rng = random.Random(20161)
-        values = (0.0, -0.0, 1.0, -1.0, 0.5, 3e-7, 2e5)
-
-        def entry():
-            return complex(rng.choice(values) * rng.random(), rng.choice(values))
-
-        for _ in range(200):
-            m = Matrix4([[entry() for _ in range(4)] for _ in range(4)])
-            n = Matrix4([[entry() for _ in range(4)] for _ in range(4)])
-            a, b = m.rows, n.rows
-            got = (m @ n).rows
-            for i in range(4):
-                for j in range(4):
-                    want = (0j + a[i][0] * b[0][j] + a[i][1] * b[1][j]
-                            + a[i][2] * b[2][j] + a[i][3] * b[3][j])
-                    assert repr(got[i][j]) == repr(want), (i, j)
-
-
-@pytest.mark.parametrize("m", [Matrix4.identity(), to_matrix4(ONE) @ to_matrix4(ONE),
-                               Matrix2.identity(), to_pauli(ONE)])
-def test_matrices_are_immutable(m):
-    rows, h = m.rows, hash(m)
-    with pytest.raises(AttributeError):
-        m.foo = 1
-    with pytest.raises(AttributeError):
-        m.rows = Matrix4.identity().rows
-    with pytest.raises(AttributeError):
-        del m.rows
-    assert not hasattr(m, "__dict__")
-    assert m.rows is rows and hash(m) == h
 
 
 _signed_zeros = st.sampled_from(

@@ -26,7 +26,6 @@ from _strategies import (
 )
 from paravec import (
     ONE,
-    BadUnitVector,
     DegenerateComposition,
     ImproperParavector,
     IsotropicNormal,
@@ -152,12 +151,6 @@ class TestSpatialAxis:
         assert twin == rot
         assert repr(rotate_vector(w, twin)) == repr(want)
         assert spatial_axis(twin) == spatial_axis(rot)
-
-    def test_rejects_non_unit_axes(self):
-        with pytest.raises(BadUnitVector):
-            SpatialRotation((1, 1, 0), 0.5)
-        with pytest.raises(BadUnitVector):
-            SpatialRotation.about((0, 0, 0), 0.5)
 
 
 class TestRotateVector:

@@ -1,6 +1,6 @@
 """One validator per input shape and one determinant-one check.
 
-Malformed input raises a :class:`ParavectorError` (never a bare Python
+Malformed input raises a :class:`ValidationError` (never a bare Python
 error or a silently truncated result), and ``Angle``, ``RotationAxis`` and
 ``SpatialRotation`` test their invariants against ``DEFAULT_TOL``.
 """
@@ -49,12 +49,16 @@ MALFORMED = {
     "vector-short": lambda: Paravector(1, (0, 0)),
     "vector-not-a-sequence": lambda: Paravector(1, 5),
     "vector-nan": lambda: Paravector(1, (0, math.nan, 0)),
+    "vector-long": lambda: Paravector(0, (1, 2, 3, 4)),
+    "scalar-nan": lambda: Paravector(math.nan, (0, 0, 0)),
+    "vector-imag-inf": lambda: Paravector(0, (0, complex(0, math.inf), 0)),
     "rotation-phi-text": lambda: SpatialRotation((0, 0, 1), "x"),
     "rotation-axis-complex": lambda: SpatialRotation((1j, 0, 0), 0.3),
     "rotation-axis-long": lambda: SpatialRotation((1, 0, 0, 0), 0.3),
     "tolerance-text": lambda: Tolerance("x", 1),
     "tolerance-numeric-text": lambda: Tolerance("1e-3", "0"),
     "tolerance-complex": lambda: Tolerance(1e-9, 1j),
+    "tolerance-negative": lambda: Tolerance(-1.0, 0.0),
     "wire-numeric-text": lambda: from_wire(["1"] * 8),
     "angle-of-a-tuple": lambda: Angle((1, 0, 0, 0), RIGHT),
     "axis-of-a-float": lambda: RotationAxis(1.0),
@@ -70,6 +74,8 @@ MALFORMED = {
     "matrix-huge-int": lambda: Matrix4([[10**400, 0, 0, 0]] + [[0, 0, 0, 0]] * 3),
     "matrix2-numeric-text": lambda: Matrix2([["1", 0], [0, 1]]),
     "matrix2-of-a-number": lambda: Matrix2(5),
+    "matrix2-inf": lambda: Matrix2(((math.inf, 0), (0, 1))),
+    "matrix4-of-2x2-rows": lambda: Matrix4(((1, 2), (3, 4))),
     "scale-numeric-text": lambda: core.component_scale("12"),
     "scale-text-list": lambda: core.component_scale(["1", "2e3"]),
     "scale-nan-list": lambda: core.component_scale([math.nan]),
@@ -91,7 +97,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("make", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_raises_a_paravector_error(make):
-    with pytest.raises(ParavectorError):
+    with pytest.raises(ValidationError):
         make()
 
 
